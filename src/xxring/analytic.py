@@ -36,6 +36,7 @@ precision throughout) and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DegenerateAtCrossing, SingularPoint
@@ -88,10 +89,15 @@ class CriticalPoint:
 
 
 def _validate_sites(n_sites: int, minimum: int = 1) -> None:
-    if not isinstance(n_sites, (int,)) or isinstance(n_sites, bool):
+    if not isinstance(n_sites, numbers.Integral) or isinstance(n_sites, bool):
         raise TypeError(f"number of sites must be an integer, got {n_sites!r}")
     if n_sites < minimum:
         raise ValueError(f"number of sites must be >= {minimum}, got {n_sites}")
+
+
+def _validate_field(g: float) -> None:
+    if not math.isfinite(g):
+        raise ValueError(f"field g must be finite, got {g!r}")
 
 
 def _validate_fermions(n_sites: int, n: int) -> None:
@@ -215,9 +221,11 @@ def ground_sector(n_sites: int, g: float) -> int:
 
     Returns the unique n with g_c(n-1) < g < g_c(n); 0 below g = -1 and N
     above g = +1.  Raises DegenerateAtCrossing when g sits within
-    CROSSING_TOLERANCE of a crossing, where two sectors tie.
+    CROSSING_TOLERANCE of a crossing, where two sectors tie, and
+    ValueError for a non-finite g.
     """
     _validate_sites(n_sites, minimum=3)
+    _validate_field(g)
     for gc in _crossing_fields(n_sites):
         if abs(g - gc) <= CROSSING_TOLERANCE:
             raise DegenerateAtCrossing(

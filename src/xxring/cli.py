@@ -214,6 +214,11 @@ def _cmd_ground_state(config: RunConfig) -> int:
 
 
 def _cmd_entanglement(config: RunConfig) -> int:
+    if config.workers > 1:
+        print(
+            f"note: --workers {config.workers} is ignored; sweeps run serially",
+            file=sys.stderr,
+        )
     params = {
         "sites": list(config.sites),
         **_grid_params(config),
@@ -314,7 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         p.add_argument("--output", help="output path (default: stdout)")
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="accepted for compatibility and echoed in JSON params; "
+                "sweeps always run serially",
+            )
         if detail:
             p.add_argument("--detail", action="store_true", help="emit per-item detail rows")
 

@@ -12,12 +12,11 @@ shared).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import _crossing_fields, ground_sector
+from .analytic import _crossing_fields, _validate_field, ground_sector
 from .errors import DimensionMismatch, SizeLimit
 from .statevector import StateVector, ground_state
 
@@ -168,18 +167,28 @@ def entanglement_sweep(
     """Purity statistics over a uniform field grid.
 
     Grid points landing on a level crossing are nudged by +1e-6 instead of
-    failing, so the sweep is total.  The result order follows the grid
-    regardless of the worker count.
+    failing, so the sweep is total.  The ground state depends on g only
+    through its sector n = ground_sector(N, g), so the cuts are evaluated
+    once per sector and every other grid point of that sector reuses them
+    with its own g.  ``workers`` is accepted for compatibility (the CLI
+    still echoes it in its JSON params) and ignored: sweeps always run
+    serially.
     """
     if steps < 2:
         raise ValueError(f"a sweep needs at least 2 steps, got {steps}")
+    _validate_field(g_min)
+    _validate_field(g_max)
     if not g_min < g_max:
         raise ValueError(f"need g_min < g_max, got [{g_min}, {g_max}]")
     grid = [
         _nudge_off_crossings(n_sites, g)
         for g in np.linspace(g_min, g_max, steps)
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda g: purity_stats(n_sites, g), grid))
-    return [purity_stats(n_sites, g) for g in grid]
+    by_sector: dict[int, PurityStats] = {}
+    results = []
+    for g in grid:
+        n = ground_sector(n_sites, g)
+        if n not in by_sector:
+            by_sector[n] = purity_stats(n_sites, g)
+        results.append(replace(by_sector[n], g=float(g)))
+    return results

@@ -156,6 +156,20 @@ class TestGroundSector:
                 with pytest.raises(DegenerateAtCrossing):
                     analytic.ground_sector(n_sites, cp.g_c)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_field(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            analytic.ground_sector(8, g)
+
+    def test_accepts_numpy_integer_sites(self):
+        for g in (-2.0, 0.3, 2.0):
+            assert analytic.ground_sector(np.int64(8), g) == analytic.ground_sector(8, g)
+        assert analytic.finite_size_parameter(np.int32(8)) == analytic.finite_size_parameter(8)
+
+    def test_rejects_bool_sites(self):
+        with pytest.raises(TypeError):
+            analytic.ground_sector(True, 0.3)
+
 
 class TestGroundEnergy:
     def test_polarized_region(self):

@@ -50,6 +50,18 @@ class TestDeterminism:
         assert serial == threaded
         # workers is echoed in JSON params, so compare CSV bodies only
 
+    def test_workers_above_one_notes_serial_run_on_stderr(self, capsys):
+        base = ["entanglement", "--sites", "5", "--steps", "7", "--format", "json"]
+        assert cli.main(base) == 0
+        serial = capsys.readouterr()
+        assert serial.err == ""
+        assert cli.main(base + ["--workers", "2"]) == 0
+        noted = capsys.readouterr()
+        assert noted.err.count("\n") == 1 and "serially" in noted.err
+        payload = json.loads(noted.out)
+        assert payload["params"]["workers"] == 2
+        assert payload["rows"] == json.loads(serial.out)["rows"]
+
     def test_lf_line_endings_and_header(self, tmp_path):
         _, data = run_cli(["critical-points", "--sites", "6"], tmp_path, "c.csv")
         assert b"\r" not in data

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -204,12 +206,60 @@ class TestSweep:
             [-1.0 + 1e-6, 1e-6, 1.0 + 1e-6]
         )
 
+    @pytest.mark.parametrize("n_sites", range(4, 11))
+    def test_sector_reuse_matches_per_point_stats(self, n_sites):
+        # The README grid crosses every sector; reused entries must be
+        # exactly what a fresh per-point evaluation gives.
+        results = entanglement.entanglement_sweep(n_sites, -1.5, 1.5, 121)
+        grid = [
+            entanglement._nudge_off_crossings(n_sites, g)
+            for g in np.linspace(-1.5, 1.5, 121)
+        ]
+        expected = [entanglement.purity_stats(n_sites, g) for g in grid]
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            assert got.g == want.g
+            assert got.n == want.n
+            assert got.purities == want.purities
+            assert got.mu == want.mu
+            assert got.sigma == want.sigma
+
+    def test_builds_one_state_per_sector(self, monkeypatch):
+        calls = []
+        real = entanglement.ground_state
+
+        def counting(n_sites, g):
+            calls.append(g)
+            return real(n_sites, g)
+
+        monkeypatch.setattr(entanglement, "ground_state", counting)
+        entanglement.entanglement_sweep(10, -1.5, 1.5, 121)
+        assert len(calls) == 11
+
     def test_worker_count_does_not_change_results(self):
         serial = entanglement.entanglement_sweep(6, -1.2, 1.2, 13, workers=1)
         threaded = entanglement.entanglement_sweep(6, -1.2, 1.2, 13, workers=4)
         assert [s.g for s in serial] == [s.g for s in threaded]
         assert [s.mu for s in serial] == [s.mu for s in threaded]
         assert [s.purities for s in serial] == [s.purities for s in threaded]
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_field(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            entanglement.purity_stats(6, g)
+        with pytest.raises(ValueError, match="finite"):
+            statevector.ground_state(6, g)
+
+    def test_sweep_rejects_nonfinite_bounds(self):
+        with pytest.raises(ValueError, match="finite"):
+            entanglement.entanglement_sweep(6, -1.5, math.inf, 4)
+        with pytest.raises(ValueError, match="finite"):
+            entanglement.entanglement_sweep(6, -math.inf, 1.5, 4)
+
+    def test_accepts_numpy_integer_sites(self):
+        assert entanglement.purity_stats(np.int64(6), 0.3) == entanglement.purity_stats(6, 0.3)
+        sweep = entanglement.entanglement_sweep(np.int64(6), -1.2, 1.2, 13)
+        assert sweep == entanglement.entanglement_sweep(6, -1.2, 1.2, 13)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

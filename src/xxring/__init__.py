@@ -6,7 +6,6 @@ cross-validates all of it at small sizes.
 """
 
 from .analytic import (
-    ChainSpec,
     CriticalPoint,
     ModeSet,
     alpha_for_sector,
@@ -20,7 +19,6 @@ from .analytic import (
     occupied_modes,
     relative_error,
     thermodynamic_energy,
-    vacuum_energy_density,
 )
 from .entanglement import (
     Bipartition,
@@ -51,7 +49,6 @@ from .statevector import StateVector, ground_state, slater_amplitude
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainSpec",
     "CriticalPoint",
     "ModeSet",
     "StateVector",
@@ -78,7 +75,6 @@ __all__ = [
     "relative_error",
     "slater_amplitude",
     "thermodynamic_energy",
-    "vacuum_energy_density",
     "verify_sector_hamiltonians",
     "DegenerateAtCrossing",
     "DimensionMismatch",

@@ -39,7 +39,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import DegenerateAtCrossing, SingularPoint
+from .errors import DegenerateAtCrossing, SingularPoint, SizeLimit
 
 #: Fields closer than this to a level crossing count as degenerate.
 CROSSING_TOLERANCE = 1e-12
@@ -47,23 +47,18 @@ CROSSING_TOLERANCE = 1e-12
 #: Distance (in |g|*chi_N) from the envelope matching point treated as singular.
 SINGULARITY_TOLERANCE = 1e-12
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """A problem instance: number of sites and dimensionless transverse field.
-
-    Rings need at least 3 sites; with 2 sites the periodic closure would
-    traverse the single bond twice.
-    """
-
-    sites: int
-    coupling: float
-
-    def __post_init__(self):
-        if self.sites < 3:
-            raise ValueError(f"a ring needs at least 3 sites, got {self.sites}")
-        if not math.isfinite(self.coupling):
-            raise ValueError(f"coupling must be finite, got {self.coupling!r}")
+#: Largest ring each dense object may be built for.  The dense spin
+#: Hamiltonian cap also covers the parity operator and the single-site and
+#: fermion operators embedded in the full 2^N space.
+SIZE_LIMITS = {
+    "state vector": 14,  # 256 KiB of complex amplitudes
+    "bipartition enumeration": 14,
+    "purity statistics": 12,
+    "dense spin Hamiltonian": 12,  # 4096 x 4096 dense matrices
+    "fermion-operator build": 10,  # multiplies ~2N dense operator pairs
+    "verification suite": 10,
+    "sector reassembly audit": 8,  # builds 2N mode-number operators
+}
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,18 @@ class CriticalPoint:
     g_c: float
 
 
-def _validate_sites(n_sites: int, minimum: int = 1) -> None:
-    if not isinstance(n_sites, numbers.Integral) or isinstance(n_sites, bool):
-        raise TypeError(f"number of sites must be an integer, got {n_sites!r}")
+def _require_integer(value, what: str) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _validate_sites(n_sites: int, minimum: int = 1, budget: str | None = None) -> None:
+    """Reject a non-integer or too small ring, and one over SIZE_LIMITS[budget]."""
+    _require_integer(n_sites, "number of sites")
     if n_sites < minimum:
         raise ValueError(f"number of sites must be >= {minimum}, got {n_sites}")
+    if budget is not None and n_sites > SIZE_LIMITS[budget]:
+        raise SizeLimit(f"{budget}: limited to {SIZE_LIMITS[budget]} sites, got {n_sites}")
 
 
 def _validate_field(g: float) -> None:
@@ -101,8 +103,15 @@ def _validate_field(g: float) -> None:
 
 
 def _validate_fermions(n_sites: int, n: int) -> None:
+    _require_integer(n, "fermion count")
     if not 0 <= n <= n_sites:
         raise ValueError(f"fermion count must lie in [0, {n_sites}], got {n}")
+
+
+def _validate_index(n_sites: int, index: int, what: str) -> None:
+    _require_integer(index, what)
+    if not 0 <= index < n_sites:
+        raise ValueError(f"{what} must lie in [0, {n_sites}), got {index}")
 
 
 def finite_size_parameter(n_sites: int) -> float:
@@ -122,7 +131,7 @@ def alpha_for_sector(n_sites: int, n: int) -> float:
     number selects the unshifted grid (alpha = 0), even selects the
     half-step grid (alpha = 1/2).
     """
-    _validate_sites(n_sites)
+    _validate_sites(n_sites, minimum=3)
     _validate_fermions(n_sites, n)
     return 0.0 if (n_sites - n) % 2 == 1 else 0.5
 
@@ -139,28 +148,11 @@ def occupied_modes(n_sites: int, n: int) -> ModeSet:
     with the most negative cosine.  Exact cosine ties (possible only away
     from the ground sector's own filling) are broken toward smaller k.
     """
-    _validate_sites(n_sites)
+    _validate_sites(n_sites, minimum=3)
     _validate_fermions(n_sites, n)
     alpha = alpha_for_sector(n_sites, n)
     order = sorted(range(n_sites), key=lambda k: (mode_cosine(n_sites, alpha, k), k))
     return ModeSet(n=n, alpha=alpha, modes=tuple(sorted(order[:n])))
-
-
-def vacuum_energy_density(n_sites: int, g: float) -> float:
-    """Energy density of the empty (all spins down) state: exactly g."""
-    _validate_sites(n_sites)
-    return float(g)
-
-
-def vacuum_energy_density_summed(n_sites: int, g: float, alpha: float) -> float:
-    """Vacuum energy density via the explicit mode sum.
-
-    (1/N) sum_k [g - cos(2*pi*(alpha + k)/N)] collapses to g because the
-    cosines sum to zero over a full period for either offset; this form is
-    kept for cross-checks against the dense oracle.
-    """
-    _validate_sites(n_sites)
-    return sum(g - mode_cosine(n_sites, alpha, k) for k in range(n_sites)) / n_sites
 
 
 def single_particle_energy_density(n_sites: int, k: int, g: float) -> float:
@@ -169,9 +161,9 @@ def single_particle_energy_density(n_sites: int, k: int, g: float) -> float:
     Uses the one-particle sector's offset: alpha = 0 for even N, 1/2 for
     odd N.
     """
-    _validate_sites(n_sites)
-    if not 0 <= k < n_sites:
-        raise ValueError(f"mode index must lie in [0, {n_sites}), got {k}")
+    _validate_sites(n_sites, minimum=3)
+    _validate_index(n_sites, k, "mode index")
+    _validate_field(g)
     alpha = alpha_for_sector(n_sites, 1)
     return g - (2.0 / n_sites) * (g - mode_cosine(n_sites, alpha, k))
 
@@ -182,20 +174,27 @@ def min_energy_density(n_sites: int, n: int, g: float) -> float:
     g (1 - 2n/N) - (2/N) sin(n*pi/N) / sin(pi/N); independent of the parity
     of N.  Reduces to g at n = 0 and to -g at n = N.
     """
-    _validate_sites(n_sites)
+    _validate_sites(n_sites, minimum=3)
     _validate_fermions(n_sites, n)
+    _validate_field(g)
     return g * (1.0 - 2.0 * n / n_sites) - (
         2.0 / n_sites
     ) * math.sin(n * math.pi / n_sites) / math.sin(math.pi / n_sites)
 
 
 def _crossing_fields(n_sites: int) -> list[float]:
-    """g_c(n) for n = 0..N from the closed form."""
+    """g_c(n) for n = 0..N from the closed form.
+
+    The endpoints g_c(0) = -1 and g_c(N-1) = g_c(N) = +1 are set exactly;
+    evaluating the sines there can miss them by an ulp and break the
+    ordering of the sequence.
+    """
     s = math.sin(math.pi / n_sites)
-    return [
+    inner = [
         (math.sin(n * math.pi / n_sites) - math.sin((n + 1) * math.pi / n_sites)) / s
-        for n in range(n_sites + 1)
+        for n in range(1, n_sites - 1)
     ]
+    return [-1.0, *inner, 1.0, 1.0]
 
 
 def critical_points(n_sites: int) -> list[CriticalPoint]:
@@ -242,6 +241,7 @@ def ground_energy_density(n_sites: int, g: float) -> float:
     no degeneracy error is raised.
     """
     _validate_sites(n_sites, minimum=3)
+    _validate_field(g)
     return min_energy_density(n_sites, _sector_count(n_sites, g), g)
 
 
@@ -252,6 +252,7 @@ def envelope_energy(n_sites: int, g: float) -> float:
     derivative are continuous at the matching points.
     """
     _validate_sites(n_sites, minimum=3)
+    _validate_field(g)
     chi = finite_size_parameter(n_sites)
     u = g * chi
     if abs(u) >= 1.0:
@@ -269,6 +270,7 @@ def envelope_second_derivative(n_sites: int, g: float) -> float:
     Raises SingularPoint within SINGULARITY_TOLERANCE of |g| = 1/chi_N.
     """
     _validate_sites(n_sites, minimum=3)
+    _validate_field(g)
     chi = finite_size_parameter(n_sites)
     u = abs(g) * chi
     if abs(u - 1.0) <= SINGULARITY_TOLERANCE:
@@ -287,6 +289,7 @@ def thermodynamic_energy(g: float) -> float:
     The N -> infinity limit of the envelope; equals the envelope formula
     with chi = 1.
     """
+    _validate_field(g)
     if abs(g) >= 1.0:
         return -abs(g)
     return g * (1.0 - 2.0 / math.pi * math.acos(-g)) - (

@@ -193,7 +193,7 @@ def _cmd_ground_state(config: RunConfig) -> int:
     n_sites = config.sites[0]
     g = config.grid[0]
     state = ground_state(n_sites, g)
-    n = analytic.ground_sector(n_sites, g)
+    n = state.n
     triples = [
         (index, float(amp.real), float(amp.imag))
         for index, amp in enumerate(state.amplitudes)
@@ -254,8 +254,6 @@ def _cmd_entanglement(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     n_sites = config.sites[0]
-    if n_sites > 10:
-        raise SizeLimit(f"the verification suite is limited to 10 sites, got {n_sites}")
     report = verify.run_verification(n_sites)
     payload = {
         "command": "verify",
@@ -364,6 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     command = args.command
     sites = args.sites if isinstance(args.sites, tuple) else (args.sites,)
+    for flag in ("g", "g_min", "g_max"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            try:
+                analytic._validate_field(value)
+            except ValueError as exc:
+                parser.error(f"--{flag.replace('_', '-')}: {exc}")
 
     if command in _GRIDLESS or getattr(args, "modes", False):
         grid: tuple[float, ...] = ()
@@ -409,9 +414,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        # Validates the size/coupling domain before any heavy work.
+        # Field flags were checked before the grid was built; sizes are
+        # checked here, before any heavy work.
         for n_sites in config.sites:
-            analytic.ChainSpec(sites=n_sites, coupling=config.grid[0] if config.grid else 0.0)
+            analytic._validate_sites(n_sites, minimum=3)
         return _HANDLERS[config.command](config)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

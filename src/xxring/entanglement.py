@@ -16,12 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import _crossing_fields, _validate_field, ground_sector
-from .errors import DimensionMismatch, SizeLimit
+from .analytic import _crossing_fields, _validate_field, _validate_sites, ground_sector
+from .errors import DimensionMismatch
 from .statevector import StateVector, ground_state
-
-MAX_BIPARTITION_SITES = 14
-MAX_STATS_SITES = 12
 
 #: Grid points closer than this to a crossing get nudged during sweeps.
 SWEEP_CROSSING_RADIUS = 1e-9
@@ -82,13 +79,7 @@ def balanced_bipartitions(n_sites: int) -> list[Bipartition]:
     {A, B}, C(N, N/2)/2 in total.  Odd N: all masks with (N-1)/2 bits set,
     C(N, (N-1)/2) in total.
     """
-    if n_sites < 3:
-        raise ValueError(f"a ring needs at least 3 sites, got {n_sites}")
-    if n_sites > MAX_BIPARTITION_SITES:
-        raise SizeLimit(
-            f"bipartition enumeration is limited to {MAX_BIPARTITION_SITES} sites, "
-            f"got {n_sites}"
-        )
+    _validate_sites(n_sites, minimum=3, budget="bipartition enumeration")
     size_a = n_sites // 2
     even = n_sites % 2 == 0
     return [
@@ -131,11 +122,7 @@ def purity(state: StateVector, bipartition: Bipartition) -> float:
 
 def purity_stats(n_sites: int, g: float) -> PurityStats:
     """Purity of every balanced cut of the ground state at field g."""
-    if n_sites > MAX_STATS_SITES:
-        raise SizeLimit(
-            f"purity statistics are limited to {MAX_STATS_SITES} sites, got {n_sites}"
-        )
-    n = ground_sector(n_sites, g)
+    _validate_sites(n_sites, minimum=3, budget="purity statistics")
     state = ground_state(n_sites, g)
     values = [
         (part.mask, purity(state, part)) for part in balanced_bipartitions(n_sites)
@@ -143,7 +130,7 @@ def purity_stats(n_sites: int, g: float) -> PurityStats:
     samples = np.array([v for _, v in values])
     return PurityStats(
         g=float(g),
-        n=n,
+        n=state.n,
         purities=tuple(values),
         mu=float(samples.mean()),
         sigma=float(samples.std()),
@@ -174,6 +161,7 @@ def entanglement_sweep(
     still echoes it in its JSON params) and ignored: sweeps always run
     serially.
     """
+    _validate_sites(n_sites, minimum=3, budget="purity statistics")
     if steps < 2:
         raise ValueError(f"a sweep needs at least 2 steps, got {steps}")
     _validate_field(g_min)

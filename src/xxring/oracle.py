@@ -16,12 +16,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from .analytic import mode_cosine
-from .errors import MismatchError, NoConvergence, SizeLimit
-
-MAX_SPIN_SITES = 12       # 4096 x 4096 dense matrices
-MAX_JW_SITES = 10         # the JW build multiplies ~2N dense operator pairs
-MAX_SECTOR_AUDIT_SITES = 8  # the sector audit builds 2N mode-number operators
+from .analytic import _validate_field, _validate_index, _validate_sites, mode_cosine
+from .errors import MismatchError, NoConvergence
 
 #: Eigenvalue gaps below this flag a degenerate ground level.
 DEGENERACY_GAP = 1e-9
@@ -32,8 +28,8 @@ RESIDUAL_TOLERANCE = 1e-10
 #: Max-entry tolerance for the sector reassembly audit.
 SECTOR_AUDIT_TOLERANCE = 1e-11
 
-_SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])   # diagonal over (down, up)
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |down><up|
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])   # diagonal over (down, up)
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |down><up|
 _IDENTITY_2 = np.eye(2)
 
 
@@ -63,13 +59,6 @@ class SectorAuditReport:
     tolerance: float
 
 
-def _check_sites(n_sites: int, limit: int, what: str) -> None:
-    if n_sites < 3:
-        raise ValueError(f"a ring needs at least 3 sites, got {n_sites}")
-    if n_sites > limit:
-        raise SizeLimit(f"{what} is limited to {limit} sites, got {n_sites}")
-
-
 def _popcounts(n_sites: int) -> np.ndarray:
     b = np.arange(1 << n_sites)
     counts = np.zeros(b.shape, dtype=np.int64)
@@ -85,7 +74,8 @@ def build_spin_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     that differ by swapping an adjacent up/down pair, including the bond
     closing the ring.  Real symmetric.
     """
-    _check_sites(n_sites, MAX_SPIN_SITES, "the dense spin Hamiltonian")
+    _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
+    _validate_field(g)
     dim = 1 << n_sites
     b = np.arange(dim)
     ham = np.zeros((dim, dim))
@@ -101,6 +91,8 @@ def build_spin_hamiltonian(n_sites: int, g: float) -> np.ndarray:
 
 def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Embed a single-site 2x2 operator into the full 2^N space."""
+    _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
+    _validate_index(n_sites, site, "site index")
     factors = [_IDENTITY_2] * n_sites
     factors[n_sites - 1 - site] = op  # last Kronecker factor = least significant bit
     return reduce(np.kron, factors)
@@ -108,10 +100,12 @@ def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 
 def jw_annihilation(n_sites: int, site: int) -> np.ndarray:
     """Fermion annihilation operator c_site = (prod_{l<site} sz_l) sigma^-_site."""
+    _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
+    _validate_index(n_sites, site, "site index")
     factors = [_IDENTITY_2] * n_sites
     for l in range(site):
-        factors[n_sites - 1 - l] = _SIGMA_Z
-    factors[n_sites - 1 - site] = _SIGMA_MINUS
+        factors[n_sites - 1 - l] = SIGMA_Z
+    factors[n_sites - 1 - site] = SIGMA_MINUS
     return reduce(np.kron, factors)
 
 
@@ -121,7 +115,7 @@ def build_parity_operator(n_sites: int) -> np.ndarray:
     +1 on states with an odd number of down spins, -1 on even; commutes
     with the Hamiltonian.
     """
-    _check_sites(n_sites, MAX_SPIN_SITES, "the parity operator")
+    _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
     n_down = n_sites - _popcounts(n_sites)
     return np.diag(-((-1.0) ** n_down))
 
@@ -135,7 +129,8 @@ def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     enter as  -P (c_{N-1} c_0+ + c_0 c_{N-1}+).  Must reproduce
     build_spin_hamiltonian entrywise.
     """
-    _check_sites(n_sites, MAX_JW_SITES, "the fermion-operator build")
+    _validate_sites(n_sites, minimum=3, budget="fermion-operator build")
+    _validate_field(g)
     dim = 1 << n_sites
     cs = [jw_annihilation(n_sites, j) for j in range(n_sites)]
     eye = np.eye(dim)
@@ -206,7 +201,8 @@ def verify_sector_hamiltonians(n_sites: int, g: float) -> SectorAuditReport:
     the two projections must sum to the Pauli-form Hamiltonian.  Raises
     MismatchError (with the worst entry) beyond SECTOR_AUDIT_TOLERANCE.
     """
-    _check_sites(n_sites, MAX_SECTOR_AUDIT_SITES, "the sector reassembly audit")
+    _validate_sites(n_sites, minimum=3, budget="sector reassembly audit")
+    _validate_field(g)
     dim = 1 << n_sites
     ham = build_spin_hamiltonian(n_sites, g)
     parity = build_parity_operator(n_sites)

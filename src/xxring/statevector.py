@@ -23,23 +23,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ModeSet, ground_sector, occupied_modes
-from .errors import SizeLimit
-
-#: Dense 2^N amplitude arrays are capped here (256 KiB of complex doubles).
-MAX_STATE_SITES = 14
+from .analytic import ModeSet, _validate_sites, ground_sector, occupied_modes
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """2^sites complex amplitudes over the spin-z product basis."""
+    """2^sites complex amplitudes over the spin-z product basis.
+
+    ``n`` is the fermion number (count of up spins) of the sector the
+    amplitudes live in.
+    """
 
     sites: int
+    n: int
     amplitudes: np.ndarray
 
     @property
     def dimension(self) -> int:
         return 1 << self.sites
+
+
+def _slater_amplitudes(n_sites: int, modes: ModeSet, positions: np.ndarray) -> np.ndarray:
+    """Unnormalized amplitudes, one per row of sorted fermion positions."""
+    kv = np.asarray(modes.modes, dtype=float) + modes.alpha
+    matrices = np.exp(
+        (2j * np.pi / n_sites) * kv[None, :, None] * positions[:, None, :]
+    )
+    signs = 1.0 - 2.0 * (positions.sum(axis=1).astype(int) & 1)
+    return signs * np.linalg.det(matrices)
 
 
 def slater_amplitude(n_sites: int, modes: ModeSet, positions: Sequence[int]) -> complex:
@@ -58,13 +69,7 @@ def slater_amplitude(n_sites: int, modes: ModeSet, positions: Sequence[int]) -> 
         raise ValueError(f"positions must lie in [0, {n_sites}): {pos}")
     if any(a >= b for a, b in zip(pos, pos[1:])):
         raise ValueError(f"positions must be strictly increasing: {pos}")
-    if modes.n == 0:
-        return complex(1.0)
-    kv = np.asarray(modes.modes, dtype=float) + modes.alpha
-    jv = np.asarray(pos, dtype=float)
-    matrix = np.exp((2j * np.pi / n_sites) * np.outer(kv, jv))
-    sign = -1.0 if int(sum(pos)) % 2 else 1.0
-    return complex(sign * np.linalg.det(matrix))
+    return complex(_slater_amplitudes(n_sites, modes, np.array([pos], dtype=float))[0])
 
 
 def ground_state(n_sites: int, g: float) -> StateVector:
@@ -73,24 +78,18 @@ def ground_state(n_sites: int, g: float) -> StateVector:
     Fully polarized below g = -1 (index 0) and above g = +1 (index
     2^N - 1); in between, a superposition over all C(N, n) placements of
     the n = ground_sector(N, g) fermions.  Raises DegenerateAtCrossing on a
-    level crossing and SizeLimit for N > MAX_STATE_SITES.
+    level crossing and SizeLimit above the "state vector" size limit.
     """
-    if n_sites > MAX_STATE_SITES:
-        raise SizeLimit(
-            f"dense state vectors are limited to {MAX_STATE_SITES} sites, got {n_sites}"
-        )
+    _validate_sites(n_sites, minimum=3, budget="state vector")
     n = ground_sector(n_sites, g)
     dim = 1 << n_sites
     amplitudes = np.zeros(dim, dtype=complex)
     if n == 0:
         amplitudes[0] = 1.0
-        return StateVector(sites=n_sites, amplitudes=amplitudes)
+        return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)
     if n == n_sites:
         amplitudes[dim - 1] = 1.0
-        return StateVector(sites=n_sites, amplitudes=amplitudes)
-
-    mode_set = occupied_modes(n_sites, n)
-    kv = np.asarray(mode_set.modes, dtype=float) + mode_set.alpha
+        return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)
 
     # Ascending bitmask order == colexicographic order of position sets;
     # fixed ordering keeps the output bit-identical however work is split.
@@ -98,11 +97,6 @@ def ground_state(n_sites: int, g: float) -> StateVector:
     positions = np.array(
         [[j for j in range(n_sites) if (m >> j) & 1] for m in masks], dtype=float
     )
-    matrices = np.exp(
-        (2j * np.pi / n_sites) * kv[None, :, None] * positions[:, None, :]
-    )
-    dets = np.linalg.det(matrices)
-    signs = 1.0 - 2.0 * (positions.sum(axis=1).astype(int) & 1)
-    amplitudes[masks] = signs * dets
+    amplitudes[masks] = _slater_amplitudes(n_sites, occupied_modes(n_sites, n), positions)
     amplitudes /= np.linalg.norm(amplitudes)
-    return StateVector(sites=n_sites, amplitudes=amplitudes)
+    return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)

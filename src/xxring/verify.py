@@ -15,6 +15,9 @@ import scipy.linalg
 
 from . import oracle
 from .analytic import (
+    SIZE_LIMITS,
+    _validate_field,
+    _validate_sites,
     critical_points,
     ground_energy_density,
 )
@@ -74,7 +77,7 @@ def check_pauli_site_algebra(n_sites: int) -> CheckResult:
     """Raising/lowering operators anticommute on site, commute off site."""
     dim = 1 << n_sites
     plus = [
-        oracle.site_operator(np.array([[0.0, 0.0], [1.0, 0.0]]), j, n_sites)
+        oracle.site_operator(oracle.SIGMA_MINUS.T, j, n_sites)
         for j in range(n_sites)
     ]
     worst = 0.0
@@ -103,12 +106,10 @@ def check_jw_anticommutation(n_sites: int) -> CheckResult:
 
 def check_boundary_operator(n_sites: int) -> CheckResult:
     """Prolonging the string over the whole ring: c_N = (parity of holes) c_0."""
-    sigma_z = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    sigma_minus = np.array([[0.0, 1.0], [0.0, 0.0]])
     string = np.eye(1 << n_sites)
     for l in range(n_sites):
-        string = string @ oracle.site_operator(sigma_z, l, n_sites)
-    c_n = string @ oracle.site_operator(sigma_minus, 0, n_sites)
+        string = string @ oracle.site_operator(oracle.SIGMA_Z, l, n_sites)
+    c_n = string @ oracle.site_operator(oracle.SIGMA_MINUS, 0, n_sites)
     hole_parity = -oracle.build_parity_operator(n_sites)  # (-1)^(#down)
     deviation = np.abs(c_n - hole_parity @ oracle.jw_annihilation(n_sites, 0)).max()
     return _result("boundary_operator", deviation, OPERATOR_TOLERANCE, sites=n_sites)
@@ -201,6 +202,9 @@ def run_verification(n_sites: int, spot_fields=(0.7, -0.4)) -> VerificationRepor
     state comparisons sweep the default grid.  The sector reassembly and
     the fermion-operator build are skipped above their size caps.
     """
+    _validate_sites(n_sites, minimum=3, budget="verification suite")
+    for g in spot_fields:
+        _validate_field(g)
     checks: list[CheckResult] = [
         check_pauli_site_algebra(n_sites),
         check_jw_anticommutation(n_sites),
@@ -208,9 +212,9 @@ def run_verification(n_sites: int, spot_fields=(0.7, -0.4)) -> VerificationRepor
     ]
     for g in spot_fields:
         checks.append(check_parity_commutes(n_sites, g))
-        if n_sites <= oracle.MAX_JW_SITES:
+        if n_sites <= SIZE_LIMITS["fermion-operator build"]:
             checks.append(check_jw_equals_pauli(n_sites, g))
-        if n_sites <= oracle.MAX_SECTOR_AUDIT_SITES:
+        if n_sites <= SIZE_LIMITS["sector reassembly audit"]:
             checks.append(check_sector_reassembly(n_sites, g))
         checks.append(check_spectrum_reflection(n_sites, g))
     checks.append(check_energy_agreement(n_sites))

@@ -71,17 +71,21 @@ class TestOccupiedModes:
 
 class TestVacuumEnergy:
     def test_returns_field(self):
-        assert analytic.vacuum_energy_density(8, 0.3) == 0.3
-        assert analytic.vacuum_energy_density(9, 0.0) == 0.0
+        # The empty sector's energy density is exactly g.
+        assert analytic.min_energy_density(8, 0, 0.3) == 0.3
+        assert analytic.min_energy_density(9, 0, 0.0) == 0.0
 
     def test_summed_form_matches(self):
-        # Direct summation over the shifted grid collapses to g.
-        value = analytic.vacuum_energy_density_summed(7, -0.4, alpha=0.5)
-        assert value == pytest.approx(-0.4, abs=1e-12)
-        direct = sum(
-            -0.4 - math.cos(2 * math.pi * (k + 0.5) / 7) for k in range(7)
-        ) / 7
-        assert value == pytest.approx(direct, abs=0)
+        # (1/N) sum_k [g - cos(2*pi*(alpha + k)/N)] collapses to g for either
+        # offset, because the cosines sum to zero over a full period.
+        for alpha in (0.0, 0.5):
+            summed = sum(
+                -0.4 - math.cos(2 * math.pi * (k + alpha) / 7) for k in range(7)
+            ) / 7
+            assert summed == pytest.approx(-0.4, abs=1e-12)
+            assert analytic.min_energy_density(7, 0, -0.4) == pytest.approx(
+                summed, abs=1e-12
+            )
 
 
 class TestMinEnergyDensity:
@@ -333,16 +337,3 @@ class TestRelativeError:
         assert small < 0 and large < 0
         assert abs(small) > abs(large)
 
-
-class TestChainSpec:
-    def test_rejects_tiny_rings(self):
-        with pytest.raises(ValueError):
-            analytic.ChainSpec(sites=2, coupling=0.1)
-
-    def test_rejects_nonfinite_coupling(self):
-        with pytest.raises(ValueError):
-            analytic.ChainSpec(sites=5, coupling=math.inf)
-
-    def test_accepts_valid(self):
-        spec = analytic.ChainSpec(sites=5, coupling=-0.3)
-        assert (spec.sites, spec.coupling) == (5, -0.3)

@@ -116,6 +116,13 @@ class TestGroundState:
         with pytest.raises(SizeLimit):
             statevector.ground_state(15, 0.3)
 
+    @pytest.mark.parametrize("g", [-1.3, -0.4, 0.05, 0.7, 1.2])
+    def test_carries_its_sector(self, g):
+        state = statevector.ground_state(7, g)
+        assert state.n == analytic.ground_sector(7, g)
+        support = np.flatnonzero(np.abs(state.amplitudes) > 0)
+        assert {int(b).bit_count() for b in support} == {state.n}
+
     def test_crossing_propagates(self):
         g_c = analytic.critical_points(6)[2].g_c
         with pytest.raises(DegenerateAtCrossing):

@@ -137,7 +137,11 @@ def alpha_for_sector(n_sites: int, n: int) -> float:
 
 
 def mode_cosine(n_sites: int, alpha: float, k: int) -> float:
-    """cos(2*pi*(alpha + k)/N), the dispersion value of mode k."""
+    """cos(2*pi*(alpha + k)/N), the dispersion value of mode k (alpha = 0 or 1/2)."""
+    _validate_sites(n_sites, minimum=3)
+    _validate_index(n_sites, k, "mode index")
+    if alpha not in (0.0, 0.5):
+        raise ValueError(f"momentum offset alpha must be 0 or 1/2, got {alpha!r}")
     return math.cos(2.0 * math.pi * (alpha + k) / n_sites)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .analytic import _validate_field, _validate_index, _validate_sites, mode_cosine
 from .errors import MismatchError, NoConvergence
@@ -147,27 +146,20 @@ def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
 def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     """Lowest eigenpair of a dense symmetric matrix.
 
-    Uses LAPACK's tridiagonalization path for the two lowest levels; the
-    second one feeds the degeneracy flag.  The eigenpair is rejected with
-    NoConvergence when the residual exceeds RESIDUAL_TOLERANCE times the
-    Frobenius norm.
+    One full ``numpy.linalg.eigh`` solve (LAPACK ``syevd``); level 0 gives
+    the eigenpair and level 1 the gap behind the degeneracy flag (infinite
+    for a 1 x 1 matrix).  The eigenpair is rejected with NoConvergence when
+    the residual exceeds RESIDUAL_TOLERANCE times the Frobenius norm.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=float)
     dim = hamiltonian.shape[0]
-    if dim == 1:
-        return GroundEigenpair(
-            energy=float(hamiltonian[0, 0]),
-            vector=np.ones(1),
-            degenerate=False,
-            gap=math.inf,
-        )
     try:
-        values, vectors = scipy.linalg.eigh(hamiltonian, subset_by_index=(0, 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        values, vectors = np.linalg.eigh(hamiltonian)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
     energy = float(values[0])
     vector = vectors[:, 0]
-    gap = float(values[1] - values[0])
+    gap = float(values[1] - values[0]) if dim > 1 else math.inf
     residual = np.linalg.norm(hamiltonian @ vector - energy * vector)
     bound = RESIDUAL_TOLERANCE * np.linalg.norm(hamiltonian)
     if residual > bound:
@@ -220,13 +212,9 @@ def verify_sector_hamiltonians(n_sites: int, g: float) -> SectorAuditReport:
 
     deviation = np.abs(reassembled - ham)
     worst = float(deviation.max())
+    hermitian = (reassembled + reassembled.conj().T) / 2
     spectrum_deviation = float(
-        np.max(
-            np.abs(
-                np.sort(scipy.linalg.eigvalsh(ham))
-                - np.sort(scipy.linalg.eigvalsh((reassembled + reassembled.conj().T) / 2))
-            )
-        )
+        np.abs(np.linalg.eigvalsh(ham) - np.linalg.eigvalsh(hermitian)).max()
     )
     if worst > SECTOR_AUDIT_TOLERANCE:
         row, col = np.unravel_index(int(deviation.argmax()), deviation.shape)

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ModeSet, _validate_sites, ground_sector, occupied_modes
+from .analytic import ModeSet, alpha_for_sector, ground_sector, occupied_modes
+from .analytic import _validate_index, _validate_sites
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,22 @@ def _slater_amplitudes(n_sites: int, modes: ModeSet, positions: np.ndarray) -> n
 def slater_amplitude(n_sites: int, modes: ModeSet, positions: Sequence[int]) -> complex:
     """Unnormalized ground-state amplitude for fermions at the given sites.
 
-    ``positions`` must be sorted, distinct and inside [0, N), with exactly
-    ``modes.n`` entries.  Computed as an n x n determinant (LU under the
-    hood), not by permutation enumeration.
+    ``modes`` must belong to the ring: ``modes.n`` distinct modes in
+    [0, N) and the offset ``alpha_for_sector(N, modes.n)``.  ``positions``
+    must be sorted, distinct and inside [0, N), with exactly ``modes.n``
+    entries.  Computed as an n x n determinant (LU under the hood), not by
+    permutation enumeration.
     """
+    _validate_sites(n_sites, minimum=3)
+    for k in modes.modes:
+        _validate_index(n_sites, k, "mode index")
+    if len(set(modes.modes)) != len(modes.modes) or len(modes.modes) != modes.n:
+        raise ValueError(f"expected {modes.n} distinct modes, got {modes.modes}")
+    if modes.alpha != alpha_for_sector(n_sites, modes.n):
+        raise ValueError(
+            f"offset alpha = {modes.alpha!r} does not belong to the {modes.n}-fermion "
+            f"sector of a {n_sites}-site ring"
+        )
     pos = list(positions)
     if len(pos) != modes.n:
         raise ValueError(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from xxring import analytic
@@ -337,3 +339,28 @@ class TestRelativeError:
         assert small < 0 and large < 0
         assert abs(small) > abs(large)
 
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_sites=st.integers(3, 60),
+        g_low=st.floats(-5.0, 5.0),
+        g_high=st.floats(-5.0, 5.0),
+    )
+    def test_ground_sector_is_monotone_in_field(self, n_sites, g_low, g_high):
+        g_low, g_high = sorted((g_low, g_high))
+        crossings = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        for g in (g_low, g_high):
+            assume(min(abs(g - gc) for gc in crossings) > analytic.CROSSING_TOLERANCE)
+        assert analytic.ground_sector(n_sites, g_low) <= analytic.ground_sector(
+            n_sites, g_high
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_sites=st.integers(3, 60), g=st.floats(-5.0, 5.0))
+    def test_envelope_below_ground_below_every_sector(self, n_sites, g):
+        ground = analytic.ground_energy_density(n_sites, g)
+        assert analytic.envelope_energy(n_sites, g) <= ground + 1e-12
+        for n in range(n_sites + 1):
+            assert ground <= analytic.min_energy_density(n_sites, n, g) + 1e-12

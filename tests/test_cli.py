@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import xxring
 from xxring import cli, oracle
 
 
@@ -243,6 +248,17 @@ class TestExitCodes:
         )
         assert "limited" in capsys.readouterr().err
 
+    def test_negative_scientific_field_needs_equals_sign(self, tmp_path, capsys):
+        # argparse reads a detached "-1e-3" as an option, not as a number.
+        spaced = ["spectrum", "--sites", "8", "--g-min", "-1e-3", "--g-max", "1"]
+        assert cli.main(spaced) == cli.EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+        joined = ["spectrum", "--sites", "8", "--g-min=-1e-3", "--g-max", "1", "--steps", "3"]
+        code, data = run_cli(joined, tmp_path, "joined.csv")
+        assert code == cli.EXIT_OK
+        header, rows = parse_csv(data)
+        assert rows[0]["g"] == "-0.001"
+
     def test_tiny_ring_rejected(self, capsys):
         assert cli.main(["spectrum", "--sites", "2", "--g", "0.5"]) == cli.EXIT_USAGE
 
@@ -272,3 +288,46 @@ class TestExitCodes:
         assert payload["passed"] is False
         assert any(not check["passed"] for check in payload["checks"])
         validate_json(payload)
+
+
+#: Runs in a fresh interpreter: the test process itself has scipy loaded.
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import xxring
+seen["import xxring"] = scipy_modules()
+import xxring.cli
+seen["import xxring.cli"] = scipy_modules()
+code = xxring.cli.main(["verify", "--sites", "4", "--output", sys.argv[1]])
+seen["verify --sites 4"] = scipy_modules()
+print(json.dumps({"code": code, "seen": seen}))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_package_and_verify_load_no_scipy(self, tmp_path):
+        package_root = str(Path(xxring.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        report = tmp_path / "verify.json"
+        run = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, str(report)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        probe = json.loads(run.stdout)
+        assert probe["code"] == cli.EXIT_OK
+        assert json.loads(report.read_text())["passed"] is True
+        assert probe["seen"] == {
+            "import xxring": [],
+            "import xxring.cli": [],
+            "verify --sites 4": [],
+        }

@@ -48,6 +48,29 @@ class TestSlaterAmplitude:
         with pytest.raises(ValueError):
             statevector.slater_amplitude(5, modes, (1,))
 
+    @pytest.mark.parametrize(
+        "n_sites,modes,positions",
+        [
+            (4, ModeSet(n=1, alpha=0.0, modes=(7,)), (0,)),  # mode off the ring
+            (4, ModeSet(n=1, alpha=0.0, modes=(-1,)), (0,)),
+            (4, ModeSet(n=1, alpha=0.3, modes=(1,)), (0,)),  # not a sector offset
+            (5, ModeSet(n=2, alpha=0.5, modes=(1, 2)), (0, 3)),  # other sector's offset
+            (5, ModeSet(n=2, alpha=0.0, modes=(1, 1)), (0, 3)),  # repeated mode
+            (5, ModeSet(n=2, alpha=0.0, modes=(1,)), (0, 3)),  # too few modes
+            (5, ModeSet(n=1, alpha=0.5, modes=(1, 2)), (0,)),  # too many modes
+            (2, ModeSet(n=1, alpha=0.5, modes=(0,)), (0,)),  # ring too small
+        ],
+    )
+    def test_rejects_mode_sets_foreign_to_the_ring(self, n_sites, modes, positions):
+        with pytest.raises(ValueError):
+            statevector.slater_amplitude(n_sites, modes, positions)
+
+    def test_rejects_non_integer_ring_and_modes(self):
+        with pytest.raises(TypeError):
+            statevector.slater_amplitude(True, ModeSet(n=1, alpha=0.0, modes=(0,)), (0,))
+        with pytest.raises(TypeError):
+            statevector.slater_amplitude(4, ModeSet(n=1, alpha=0.0, modes=(1.5,)), (0,))
+
 
 class TestGroundState:
     def test_polarized_down(self):

@@ -42,6 +42,7 @@ ENTRY_POINTS = {
         lambda n, g: analytic.alpha_for_sector(n, 1), 3, False, None
     ),
     "occupied_modes": EntryPoint(lambda n, g: analytic.occupied_modes(n, 1), 3, False, None),
+    "mode_cosine": EntryPoint(lambda n, g: analytic.mode_cosine(n, 0.0, 0), 3, False, None),
     "single_particle_energy_density": EntryPoint(
         lambda n, g: analytic.single_particle_energy_density(n, 0, g), 3, True, None
     ),
@@ -153,8 +154,18 @@ class TestEntryPointTable:
                 oracle.jw_annihilation(4, bad)
             with pytest.raises(ValueError):
                 analytic.single_particle_energy_density(4, bad, GOOD_FIELD)
+            with pytest.raises(ValueError):
+                analytic.mode_cosine(4, 0.0, bad)
         with pytest.raises(TypeError):
             analytic.single_particle_energy_density(4, 1.5, GOOD_FIELD)
+        with pytest.raises(TypeError):
+            analytic.mode_cosine(8, 0.5, 2.5)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.25, 1.0, -0.5, math.nan])
+    def test_mode_cosine_takes_only_sector_offsets(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            analytic.mode_cosine(8, alpha, 2)
+        assert analytic.mode_cosine(8, 0.5, 2) == math.cos(2.0 * math.pi * 2.5 / 8)
 
 
 class TestRingValidator:

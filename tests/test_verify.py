@@ -1,6 +1,11 @@
-import pytest
+from dataclasses import replace
 
-from xxring import oracle, verify
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from xxring import analytic, oracle, verify
 
 
 class TestChecks:
@@ -41,9 +46,57 @@ class TestChecks:
             return ham
 
         monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
-        result = verify.check_energy_agreement(4)
+        result, _ = verify.check_ground_agreement(4)
+        assert result.name == "energy_agreement"
         assert not result.passed
         assert result.max_deviation > 1e-4
+
+    def test_ground_agreement_results_fail_only_on_their_own_corruption(
+        self, monkeypatch
+    ):
+        true_build = oracle.build_spin_hamiltonian
+        true_state = verify.ground_state
+
+        def shifted_diagonal(n_sites, g):
+            ham = true_build(n_sites, g)
+            ham[0, 0] += 0.01  # the vacuum is its own 1 x 1 block: only its energy moves
+            return ham
+
+        def rolled_state(n_sites, g):
+            state = true_state(n_sites, g)
+            return replace(state, amplitudes=np.roll(state.amplitudes, 1))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "build_spin_hamiltonian", shifted_diagonal)
+            energy, overlap = verify.check_ground_agreement(4)
+        assert (energy.name, overlap.name) == ("energy_agreement", "state_overlap")
+        assert not energy.passed
+        assert overlap.passed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "ground_state", rolled_state)
+            energy, overlap = verify.check_ground_agreement(4)
+        assert energy.passed
+        assert not overlap.passed
+        assert overlap.max_deviation > 1e-4
+
+    def test_ground_agreement_solves_each_field_once(self, monkeypatch):
+        true_solve = oracle.ground_eigenpair
+        solved = []
+
+        def counting(hamiltonian):
+            solved.append(hamiltonian.shape[0])
+            return true_solve(hamiltonian)
+
+        monkeypatch.setattr(oracle, "ground_eigenpair", counting)
+        grid = verify.default_field_grid(5)
+        results = verify.check_ground_agreement(5)
+        assert len(solved) == len(grid)
+        assert [r.detail for r in results] == [{"sites": 5, "points": len(grid)}] * 2
+        assert [r.tolerance for r in results] == [
+            verify.ENERGY_TOLERANCE,
+            verify.OVERLAP_TOLERANCE,
+        ]
 
     def test_reassembly_check_reports_mismatch(self, monkeypatch):
         true_build = oracle.build_spin_hamiltonian
@@ -57,3 +110,16 @@ class TestChecks:
         result = verify.check_sector_reassembly(4, 0.5)
         assert not result.passed
         assert result.detail.get("entry") is not None
+
+
+class TestGroundAgreementProperty:
+    # The tolerances are absolute, so the field stays at the scale of the
+    # couplings; crossings are excluded exactly as on the default grid.
+    @settings(max_examples=30, deadline=None)
+    @given(n_sites=st.integers(3, 8), g=st.floats(-3.0, 3.0))
+    def test_dense_oracle_agrees_off_the_grid(self, n_sites, g):
+        crossings = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        assume(min(abs(g - gc) for gc in crossings) > verify.CROSSING_EXCLUSION)
+        energy, overlap = verify.check_ground_agreement(n_sites, [g])
+        assert energy.passed, energy
+        assert overlap.passed, overlap

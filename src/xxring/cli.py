@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ EXIT_SIZE_LIMIT = 3
 _DEFAULT_G_MIN = -1.5
 _DEFAULT_G_MAX = 1.5
 _DEFAULT_STEPS = 61
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus its validated parameters."""
-
-    command: str
-    sites: tuple[int, ...]
-    grid: tuple[float, ...]
-    fmt: str
-    output: str | None
-    workers: int
-    detail: bool
-    single_particle: bool
-    modes: bool
 
 
 def _site_list(text: str) -> tuple[int, ...]:
@@ -100,72 +84,72 @@ def _write(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _emit_table(config: RunConfig, params, columns, rows, metadata=None) -> None:
-    if config.fmt == "csv":
-        _write(_csv_text(columns, rows, metadata), config.output)
+def _emit_table(args: argparse.Namespace, params, columns, rows, metadata=None) -> None:
+    if args.format == "csv":
+        _write(_csv_text(columns, rows, metadata), args.output)
     else:
         _write(
-            _json_text(_table_payload(config.command, params, columns, rows, metadata)),
-            config.output,
+            _json_text(_table_payload(args.command, params, columns, rows, metadata)),
+            args.output,
         )
 
 
-def _grid_params(config: RunConfig) -> dict:
-    if len(config.grid) == 1:
-        return {"g": config.grid[0]}
+def _grid_params(args: argparse.Namespace) -> dict:
+    if len(args.grid) == 1:
+        return {"g": args.grid[0]}
     return {
-        "g_min": config.grid[0],
-        "g_max": config.grid[-1],
-        "steps": len(config.grid),
+        "g_min": args.grid[0],
+        "g_max": args.grid[-1],
+        "steps": len(args.grid),
     }
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    n_sites = config.sites[0]
-    if config.modes:
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    n_sites = args.sites
+    if args.modes:
         rows = [
             (alpha, k, analytic.mode_cosine(n_sites, alpha, k))
             for alpha in (0.0, 0.5)
             for k in range(n_sites)
         ]
-        _emit_table(config, {"sites": n_sites, "modes": True}, ("alpha", "k", "cosine"), rows)
+        _emit_table(args, {"sites": n_sites, "modes": True}, ("alpha", "k", "cosine"), rows)
         return EXIT_OK
-    params = {"sites": n_sites, **_grid_params(config)}
-    if config.single_particle:
+    params = {"sites": n_sites, **_grid_params(args)}
+    if args.single_particle:
         rows = [
             (k, float(g), analytic.single_particle_energy_density(n_sites, k, g))
             for k in range(n_sites)
-            for g in config.grid
+            for g in args.grid
         ]
         params["single_particle"] = True
-        _emit_table(config, params, ("k", "g", "energy"), rows)
+        _emit_table(args, params, ("k", "g", "energy"), rows)
         return EXIT_OK
     rows = [
         (n, float(g), analytic.min_energy_density(n_sites, n, g))
         for n in range(n_sites + 1)
-        for g in config.grid
+        for g in args.grid
     ]
-    _emit_table(config, params, ("n", "g", "energy"), rows)
+    _emit_table(args, params, ("n", "g", "energy"), rows)
     return EXIT_OK
 
 
-def _cmd_critical_points(config: RunConfig) -> int:
-    n_sites = config.sites[0]
+def _cmd_critical_points(args: argparse.Namespace) -> int:
+    n_sites = args.sites
     rows = [(cp.n, cp.g_c) for cp in analytic.critical_points(n_sites)]
-    _emit_table(config, {"sites": n_sites}, ("n", "g_c"), rows)
+    _emit_table(args, {"sites": n_sites}, ("n", "g_c"), rows)
     return EXIT_OK
 
 
-def _cmd_envelope(config: RunConfig) -> int:
-    n_sites = config.sites[0]
-    if config.detail:
+def _cmd_envelope(args: argparse.Namespace) -> int:
+    n_sites = args.sites
+    if args.detail:
         rows = []
         for size in range(1, n_sites + 1):
             chi = analytic.finite_size_parameter(size)
             err = analytic.relative_error(size) if size >= 2 else None
             rows.append((size, chi, err))
         _emit_table(
-            config,
+            args,
             {"sites": n_sites, "detail": True},
             ("n_sites", "chi", "relative_error"),
             rows,
@@ -182,16 +166,16 @@ def _cmd_envelope(config: RunConfig) -> int:
             analytic.envelope_energy(n_sites, g),
             analytic.thermodynamic_energy(g),
         )
-        for g in config.grid
+        for g in args.grid
     ]
-    params = {"sites": n_sites, **_grid_params(config)}
-    _emit_table(config, params, ("g", "ground", "envelope", "thermodynamic"), rows, metadata)
+    params = {"sites": n_sites, **_grid_params(args)}
+    _emit_table(args, params, ("g", "ground", "envelope", "thermodynamic"), rows, metadata)
     return EXIT_OK
 
 
-def _cmd_ground_state(config: RunConfig) -> int:
-    n_sites = config.sites[0]
-    g = config.grid[0]
+def _cmd_ground_state(args: argparse.Namespace) -> int:
+    n_sites = args.sites
+    g = args.g
     state = ground_state(n_sites, g)
     n = state.n
     triples = [
@@ -200,8 +184,8 @@ def _cmd_ground_state(config: RunConfig) -> int:
         if index.bit_count() == n
     ]
     params = {"sites": n_sites, "g": float(g)}
-    if config.fmt == "csv":
-        _write(_csv_text(("index", "re", "im"), triples, {"fermions": n}), config.output)
+    if args.format == "csv":
+        _write(_csv_text(("index", "re", "im"), triples, {"fermions": n}), args.output)
     else:
         payload = {
             "command": "ground-state",
@@ -209,51 +193,51 @@ def _cmd_ground_state(config: RunConfig) -> int:
             "metadata": {"fermions": n},
             "amplitudes": [[i, re, im] for i, re, im in triples],
         }
-        _write(_json_text(payload), config.output)
+        _write(_json_text(payload), args.output)
     return EXIT_OK
 
 
-def _cmd_entanglement(config: RunConfig) -> int:
-    if config.workers > 1:
+def _cmd_entanglement(args: argparse.Namespace) -> int:
+    if args.workers > 1:
         print(
-            f"note: --workers {config.workers} is ignored; sweeps run serially",
+            f"note: --workers {args.workers} is ignored; sweeps run serially",
             file=sys.stderr,
         )
     params = {
-        "sites": list(config.sites),
-        **_grid_params(config),
-        "workers": config.workers,
-        "detail": config.detail,
+        "sites": list(args.sites),
+        **_grid_params(args),
+        "workers": args.workers,
+        "detail": args.detail,
     }
     columns = ("n_sites", "g", "n", "mu", "sigma")
-    if config.detail:
+    if args.detail:
         columns = columns + ("mask", "pi")
     rows = []
-    for n_sites in config.sites:
-        if len(config.grid) == 1:
-            stats_list = [entanglement.purity_stats(n_sites, config.grid[0])]
+    for n_sites in args.sites:
+        if len(args.grid) == 1:
+            stats_list = [entanglement.purity_stats(n_sites, args.grid[0])]
         else:
             stats_list = entanglement.entanglement_sweep(
                 n_sites,
-                config.grid[0],
-                config.grid[-1],
-                len(config.grid),
-                workers=config.workers,
+                args.grid[0],
+                args.grid[-1],
+                len(args.grid),
+                workers=args.workers,
             )
         for stats in stats_list:
-            if config.detail:
+            if args.detail:
                 rows.extend(
                     (n_sites, stats.g, stats.n, stats.mu, stats.sigma, mask, value)
                     for mask, value in stats.purities
                 )
             else:
                 rows.append((n_sites, stats.g, stats.n, stats.mu, stats.sigma))
-    _emit_table(config, params, columns, rows)
+    _emit_table(args, params, columns, rows)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    n_sites = config.sites[0]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    n_sites = args.sites
     report = verify.run_verification(n_sites)
     payload = {
         "command": "verify",
@@ -270,25 +254,12 @@ def _cmd_verify(config: RunConfig) -> int:
         ],
         "passed": report.passed,
     }
-    _write(_json_text(payload), config.output)
+    _write(_json_text(payload), args.output)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         print(f"verification failed: {failed}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "critical-points": _cmd_critical_points,
-    "envelope": _cmd_envelope,
-    "ground-state": _cmd_ground_state,
-    "entanglement": _cmd_entanglement,
-    "verify": _cmd_verify,
-}
-
-_GRIDLESS = {"critical-points", "verify"}
-_SINGLE_G = {"ground-state"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, sites_list=False, grid=True, workers=False, detail=False):
+    def add_common(p, handler, grid, sites_list=False, workers=False, detail=False):
+        """Declare the handler, the grid kind (None, "single" or "sweep") and options."""
+        p.set_defaults(handler=handler, grid_kind=grid)
         if sites_list:
             p.add_argument(
                 "--sites",
@@ -309,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("--sites", type=int, required=True, help="ring size")
-        if grid:
+        if grid is not None:
             p.add_argument("--g", type=float, help="single field value")
             p.add_argument("--g-min", type=float, help=f"grid start (default {_DEFAULT_G_MIN})")
             p.add_argument("--g-max", type=float, help=f"grid end (default {_DEFAULT_G_MAX})")
@@ -328,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--detail", action="store_true", help="emit per-item detail rows")
 
     p = sub.add_parser("spectrum", help="lowest sector energies over a field grid")
-    add_common(p)
+    add_common(p, _cmd_spectrum, "sweep")
     group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--single-particle",
@@ -342,26 +315,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("critical-points", help="level-crossing fields g_c(n)")
-    add_common(p, grid=False)
+    add_common(p, _cmd_critical_points, None)
 
     p = sub.add_parser("envelope", help="ground energy, envelope, and infinite-size limit")
-    add_common(p, detail=True)
+    add_common(p, _cmd_envelope, "sweep", detail=True)
 
     p = sub.add_parser("ground-state", help="ground-state amplitudes at one field value")
-    add_common(p)
+    add_common(p, _cmd_ground_state, "single")
 
     p = sub.add_parser("entanglement", help="balanced-bipartition purity statistics")
-    add_common(p, sites_list=True, workers=True, detail=True)
+    add_common(p, _cmd_entanglement, "sweep", sites_list=True, workers=True, detail=True)
 
     p = sub.add_parser("verify", help="run the dense-oracle cross-check suite (JSON report)")
-    add_common(p, grid=False)
+    add_common(p, _cmd_verify, None)
 
     return parser
 
 
-def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    sites = args.sites if isinstance(args.sites, tuple) else (args.sites,)
+def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> tuple:
+    """The field grid of the command, from --g or --g-min/--g-max/--steps.
+
+    Field flags are checked first, also where the command then ignores the
+    grid (``spectrum --modes``).
+    """
     for flag in ("g", "g_min", "g_max"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -369,56 +345,40 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
                 analytic._validate_field(value)
             except ValueError as exc:
                 parser.error(f"--{flag.replace('_', '-')}: {exc}")
-
-    if command in _GRIDLESS or getattr(args, "modes", False):
-        grid: tuple[float, ...] = ()
-    elif args.g is not None:
+    if args.grid_kind is None or getattr(args, "modes", False):
+        return ()
+    if args.g is not None:
         if args.g_min is not None or args.g_max is not None or args.steps is not None:
             parser.error("--g cannot be combined with --g-min/--g-max/--steps")
-        grid = (args.g,)
-    elif command in _SINGLE_G:
-        parser.error(f"{command} needs a single field value via --g")
-    else:
-        g_min = args.g_min if args.g_min is not None else _DEFAULT_G_MIN
-        g_max = args.g_max if args.g_max is not None else _DEFAULT_G_MAX
-        steps = args.steps if args.steps is not None else _DEFAULT_STEPS
-        if steps < 2:
-            parser.error(f"--steps must be at least 2, got {steps}")
-        if not g_min < g_max:
-            parser.error(f"--g-min must be below --g-max, got [{g_min}, {g_max}]")
-        grid = tuple(float(x) for x in np.linspace(g_min, g_max, steps))
-
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        parser.error(f"--workers must be at least 1, got {workers}")
-
-    return RunConfig(
-        command=command,
-        sites=sites,
-        grid=grid,
-        fmt=args.format,
-        output=args.output,
-        workers=workers,
-        detail=getattr(args, "detail", False),
-        single_particle=getattr(args, "single_particle", False),
-        modes=getattr(args, "modes", False),
-    )
+        return (args.g,)
+    if args.grid_kind == "single":
+        parser.error(f"{args.command} needs a single field value via --g")
+    g_min = args.g_min if args.g_min is not None else _DEFAULT_G_MIN
+    g_max = args.g_max if args.g_max is not None else _DEFAULT_G_MAX
+    steps = args.steps if args.steps is not None else _DEFAULT_STEPS
+    if steps < 2:
+        parser.error(f"--steps must be at least 2, got {steps}")
+    if not g_min < g_max:
+        parser.error(f"--g-min must be below --g-max, got [{g_min}, {g_max}]")
+    return tuple(float(x) for x in np.linspace(g_min, g_max, steps))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _resolve_config(parser, args)
+        args.grid = _resolve_grid(parser, args)
+        if getattr(args, "workers", 1) < 1:
+            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
         # Field flags were checked before the grid was built; sizes are
         # checked here, before any heavy work.
-        for n_sites in config.sites:
+        for n_sites in args.sites if isinstance(args.sites, tuple) else (args.sites,):
             analytic._validate_sites(n_sites, minimum=3)
-        return _HANDLERS[config.command](config)
+        return args.handler(args)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT

@@ -92,9 +92,11 @@ def balanced_bipartitions(n_sites: int) -> list[Bipartition]:
 def purity(state: StateVector, bipartition: Bipartition) -> float:
     """Tr rho_A^2 of the state reduced to the masked subsystem.
 
-    The amplitudes are gathered into a 2^|A| x 2^|B| matrix M (site order
-    preserved on both sides) and the Gram matrix is formed on the smaller
-    side; the purity is its squared Frobenius norm.
+    The amplitudes are viewed as a rank-N tensor of shape (2,) * N, whose
+    axis k is site N-1-k; moving the A axes before the B axes (each kept in
+    ascending order) and flattening gives the 2^|A| x 2^|B| matrix M with
+    site order preserved on both sides.  The Gram matrix is formed on the
+    smaller side; the purity is its squared Frobenius norm.
     """
     if state.sites != bipartition.sites:
         raise DimensionMismatch(
@@ -102,17 +104,10 @@ def purity(state: StateVector, bipartition: Bipartition) -> float:
             f"{bipartition.sites}"
         )
     n_sites = state.sites
-    a_sites = [j for j in range(n_sites) if (bipartition.mask >> j) & 1]
-    b_sites = [j for j in range(n_sites) if not (bipartition.mask >> j) & 1]
-    basis = np.arange(1 << n_sites)
-    rows = np.zeros(basis.shape, dtype=np.int64)
-    cols = np.zeros(basis.shape, dtype=np.int64)
-    for i, site in enumerate(a_sites):
-        rows |= ((basis >> site) & 1) << i
-    for i, site in enumerate(b_sites):
-        cols |= ((basis >> site) & 1) << i
-    matrix = np.zeros((1 << len(a_sites), 1 << len(b_sites)), dtype=complex)
-    matrix[rows, cols] = state.amplitudes
+    a_axes = [k for k in range(n_sites) if (bipartition.mask >> (n_sites - 1 - k)) & 1]
+    b_axes = [k for k in range(n_sites) if k not in a_axes]
+    tensor = state.amplitudes.reshape((2,) * n_sites)
+    matrix = tensor.transpose(a_axes + b_axes).reshape(1 << len(a_axes), -1)
     if matrix.shape[0] <= matrix.shape[1]:
         gram = matrix @ matrix.conj().T
     else:

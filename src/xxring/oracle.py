@@ -148,11 +148,20 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
 
     One full ``numpy.linalg.eigh`` solve (LAPACK ``syevd``); level 0 gives
     the eigenpair and level 1 the gap behind the degeneracy flag (infinite
-    for a 1 x 1 matrix).  The eigenpair is rejected with NoConvergence when
-    the residual exceeds RESIDUAL_TOLERANCE times the Frobenius norm.
+    for a 1 x 1 matrix).  Input that is not a non-empty square matrix, or
+    not symmetric within RESIDUAL_TOLERANCE times its Frobenius norm, raises
+    ValueError.  The eigenpair is rejected with NoConvergence when the
+    residual exceeds that same bound.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=float)
-    dim = hamiltonian.shape[0]
+    shape = hamiltonian.shape
+    if len(shape) != 2 or shape[0] != shape[1] or not hamiltonian.size:
+        raise ValueError(f"need a non-empty square matrix, got shape {shape}")
+    dim = shape[0]
+    bound = RESIDUAL_TOLERANCE * np.linalg.norm(hamiltonian)
+    asymmetry = np.linalg.norm(hamiltonian - hamiltonian.T)
+    if asymmetry > bound:
+        raise ValueError(f"matrix is not symmetric: |H - H^T| {asymmetry:.3e} exceeds {bound:.3e}")
     try:
         values, vectors = np.linalg.eigh(hamiltonian)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -161,7 +170,6 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     vector = vectors[:, 0]
     gap = float(values[1] - values[0]) if dim > 1 else math.inf
     residual = np.linalg.norm(hamiltonian @ vector - energy * vector)
-    bound = RESIDUAL_TOLERANCE * np.linalg.norm(hamiltonian)
     if residual > bound:
         raise NoConvergence(
             f"eigenpair residual {residual:.3e} exceeds {bound:.3e} "

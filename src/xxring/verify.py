@@ -15,7 +15,6 @@ import numpy as np
 from . import oracle
 from .analytic import (
     SIZE_LIMITS,
-    _validate_field,
     _validate_sites,
     critical_points,
     ground_energy_density,
@@ -25,6 +24,13 @@ from .statevector import ground_state
 
 #: Grid points this close to a crossing are skipped in energy/state checks.
 CROSSING_EXCLUSION = 1e-3
+
+#: default_field_grid spaces this many points over [-FIELD_GRID_SPAN, FIELD_GRID_SPAN].
+FIELD_GRID_POINTS = 41
+FIELD_GRID_SPAN = 1.5
+
+#: Fields at which the operator-level audits run.
+SPOT_FIELDS = (0.7, -0.4)
 
 OPERATOR_TOLERANCE = 1e-13
 JW_EQUALITY_TOLERANCE = 1e-12
@@ -62,12 +68,12 @@ def _result(name, deviation, tolerance, **detail):
     )
 
 
-def default_field_grid(n_sites: int, points: int = 41, span: float = 1.5) -> list[float]:
+def default_field_grid(n_sites: int) -> list[float]:
     """Uniform field grid with crossing neighborhoods removed."""
     fields = [cp.g_c for cp in critical_points(n_sites)]
     return [
         float(g)
-        for g in np.linspace(-span, span, points)
+        for g in np.linspace(-FIELD_GRID_SPAN, FIELD_GRID_SPAN, FIELD_GRID_POINTS)
         if min(abs(g - gc) for gc in fields) > CROSSING_EXCLUSION
     ]
 
@@ -171,9 +177,12 @@ def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
 
     Returns the ``energy_agreement`` result (lowest eigenvalue against
     N * ground_energy_density) and the ``state_overlap`` result (analytic
-    ground state against the dense eigenvector, up to phase).
+    ground state against the dense eigenvector, up to phase).  An empty
+    grid raises ValueError: a check over no field would pass vacuously.
     """
     grid = default_field_grid(n_sites) if field_grid is None else field_grid
+    if len(grid) == 0:
+        raise ValueError("the field grid is empty; nothing would be checked")
     energy_worst = overlap_worst = 0.0
     for g in grid:
         pair = oracle.ground_eigenpair(oracle.build_spin_hamiltonian(n_sites, g))
@@ -188,23 +197,21 @@ def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
     ]
 
 
-def run_verification(n_sites: int, spot_fields=(0.7, -0.4)) -> VerificationReport:
+def run_verification(n_sites: int) -> VerificationReport:
     """Run every applicable check for one ring size.
 
-    Operator-level audits run at the given spot fields; the energy and
+    Operator-level audits run at SPOT_FIELDS; the energy and
     state comparisons share one dense solve per point of the default grid.
     The sector reassembly and the fermion-operator build are skipped above
     their size caps.
     """
     _validate_sites(n_sites, minimum=3, budget="verification suite")
-    for g in spot_fields:
-        _validate_field(g)
     checks: list[CheckResult] = [
         check_pauli_site_algebra(n_sites),
         check_jw_anticommutation(n_sites),
         check_boundary_operator(n_sites),
     ]
-    for g in spot_fields:
+    for g in SPOT_FIELDS:
         checks.append(check_parity_commutes(n_sites, g))
         if n_sites <= SIZE_LIMITS["fermion-operator build"]:
             checks.append(check_jw_equals_pauli(n_sites, g))

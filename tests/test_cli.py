@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -259,6 +260,25 @@ class TestExitCodes:
         header, rows = parse_csv(data)
         assert rows[0]["g"] == "-0.001"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Field flags are checked even where the command ignores the grid.
+            ["spectrum", "--sites", "8", "--modes", "--g=nan"],
+            ["critical-points", "--sites", "6", "--g", "0.1"],
+            ["entanglement", "--sites", "5", "--g", "0.1", "--workers", "0"],
+            ["spectrum", "--sites", "8", "--g", "0.1", "--steps", "3"],
+            ["spectrum", "--sites", "7", "--single-particle", "--modes"],
+        ],
+    )
+    def test_usage_errors_before_any_work(self, args, capsys):
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_ground_state_without_field_is_a_usage_error(self, capsys):
+        assert cli.main(["ground-state", "--sites", "5"]) == cli.EXIT_USAGE
+        assert "needs a single field value" in capsys.readouterr().err
+
     def test_tiny_ring_rejected(self, capsys):
         assert cli.main(["spectrum", "--sites", "2", "--g", "0.5"]) == cli.EXIT_USAGE
 
@@ -288,6 +308,44 @@ class TestExitCodes:
         assert payload["passed"] is False
         assert any(not check["passed"] for check in payload["checks"])
         validate_json(payload)
+
+
+#: Every option of every subcommand, in declaration order.
+SUBCOMMAND_OPTIONS = {
+    "spectrum": [
+        "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
+        "--format", "--output", "--single-particle", "--modes",
+    ],
+    "critical-points": ["-h", "--help", "--sites", "--format", "--output"],
+    "envelope": [
+        "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
+        "--format", "--output", "--detail",
+    ],
+    "ground-state": [
+        "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
+        "--format", "--output",
+    ],
+    "entanglement": [
+        "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
+        "--format", "--output", "--workers", "--detail",
+    ],
+    "verify": ["-h", "--help", "--sites", "--format", "--output"],
+}
+
+
+class TestParser:
+    def test_subcommand_options_are_pinned(self):
+        parser = cli.build_parser()
+        (commands,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: [flag for action in sub._actions for flag in action.option_strings]
+            for name, sub in commands.choices.items()
+        }
+        assert options == SUBCOMMAND_OPTIONS
 
 
 #: Runs in a fresh interpreter: the test process itself has scipy loaded.

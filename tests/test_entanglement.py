@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xxring import analytic, entanglement, statevector
 from xxring.entanglement import Bipartition
@@ -13,6 +15,69 @@ def plane_wave_purity(n_sites):
     size_a = n_sites // 2
     size_b = n_sites - size_a
     return (size_a**2 + size_b**2) / n_sites**2
+
+
+def gathered_matrix(state, part):
+    """The 2^|A| x 2^|B| amplitude matrix built by gathering index bits.
+
+    Row bit i is the i-th site of A and column bit i the i-th site of B, in
+    ascending site order.  This is the original construction of ``purity``,
+    kept as the reference for its tensor view.
+    """
+    n_sites = state.sites
+    a_sites = [j for j in range(n_sites) if (part.mask >> j) & 1]
+    b_sites = [j for j in range(n_sites) if not (part.mask >> j) & 1]
+    basis = np.arange(1 << n_sites)
+    rows = np.zeros(basis.shape, dtype=np.int64)
+    cols = np.zeros(basis.shape, dtype=np.int64)
+    for i, site in enumerate(a_sites):
+        rows |= ((basis >> site) & 1) << i
+    for i, site in enumerate(b_sites):
+        cols |= ((basis >> site) & 1) << i
+    matrix = np.zeros((1 << len(a_sites), 1 << len(b_sites)), dtype=complex)
+    matrix[rows, cols] = state.amplitudes
+    return matrix
+
+
+def gram_purity(matrix):
+    """Squared Frobenius norm of the Gram matrix on the smaller side."""
+    if matrix.shape[0] <= matrix.shape[1]:
+        gram = matrix @ matrix.conj().T
+    else:
+        gram = matrix.conj().T @ matrix
+    return float(np.sum(np.abs(gram) ** 2))
+
+
+def rotated(part):
+    """The cut moved by one site around the ring, j -> j + 1 mod N."""
+    n_sites, mask = part.sites, part.mask
+    full = (1 << n_sites) - 1
+    return Bipartition(n_sites, ((mask << 1) | (mask >> (n_sites - 1))) & full)
+
+
+def reflected(part):
+    """The cut mirrored on the ring, j -> N - 1 - j."""
+    n_sites = part.sites
+    mask = sum(1 << (n_sites - 1 - j) for j in range(n_sites) if (part.mask >> j) & 1)
+    return Bipartition(n_sites, mask)
+
+
+def correlation_purity(n_sites, n, first, length):
+    """Tr rho_A^2 of an arc of sites from the two-point correlation matrix.
+
+    For the Slater determinant over ``occupied_modes(N, n)``, C_ij = <c_i+ c_j>
+    is (1/N) sum_k exp(2 pi i (k + alpha)(i - j)/N), and a block A of the
+    Gaussian state has Tr rho_A^2 = det(C_A^2 + (1 - C_A)^2) (Peschel, J. Phys.
+    A 36, L205 (2003)).  The spin and fermion purities agree on an arc
+    because the arc is contiguous, up to a translation of the ring.
+    """
+    modes = analytic.occupied_modes(n_sites, n)
+    sites = np.array([(first + j) % n_sites for j in range(length)])
+    phases = 2j * np.pi * (np.array(modes.modes) + modes.alpha) / n_sites
+    diff = sites[:, None] - sites[None, :]
+    corr = np.exp(phases[None, None, :] * diff[:, :, None]).sum(axis=2) / n_sites
+    eye = np.eye(length)
+    return float(np.linalg.det(corr @ corr + (eye - corr) @ (eye - corr)).real)
 
 
 def sector_midpoints(n_sites):
@@ -92,28 +157,52 @@ class TestPurity:
             state = statevector.ground_state(n_sites, g)
             parts = entanglement.balanced_bipartitions(n_sites)
             for part in rng.choice(parts, size=5, replace=False):
-                a_sites = [j for j in range(n_sites) if (part.mask >> j) & 1]
-                b_sites = [j for j in range(n_sites) if not (part.mask >> j) & 1]
-                basis = np.arange(1 << n_sites)
-                rows = np.zeros(basis.shape, dtype=np.int64)
-                cols = np.zeros(basis.shape, dtype=np.int64)
-                for i, site in enumerate(a_sites):
-                    rows |= ((basis >> site) & 1) << i
-                for i, site in enumerate(b_sites):
-                    cols |= ((basis >> site) & 1) << i
-                matrix = np.zeros(
-                    (1 << len(a_sites), 1 << len(b_sites)), dtype=complex
-                )
-                matrix[rows, cols] = state.amplitudes
+                matrix = gathered_matrix(state, part)
                 singular = np.linalg.svd(matrix, compute_uv=False)
                 assert entanglement.purity(state, part) == pytest.approx(
                     float(np.sum(singular**4)), abs=1e-10
+                )
+
+    @pytest.mark.parametrize("n_sites", range(3, 11))
+    def test_tensor_view_equals_gather_exactly(self, n_sites):
+        for g in sector_midpoints(n_sites):
+            state = statevector.ground_state(n_sites, g)
+            for part in entanglement.balanced_bipartitions(n_sites):
+                assert entanglement.purity(state, part) == gram_purity(
+                    gathered_matrix(state, part)
+                )
+
+    @pytest.mark.parametrize("n_sites", range(4, 13))
+    def test_contiguous_arcs_match_correlation_matrix(self, n_sites):
+        length = n_sites // 2
+        for g in sector_midpoints(n_sites):
+            state = statevector.ground_state(n_sites, g)
+            for first in range(n_sites):
+                mask = sum(1 << ((first + j) % n_sites) for j in range(length))
+                value = entanglement.purity(state, Bipartition(n_sites, mask))
+                assert value == pytest.approx(
+                    correlation_purity(n_sites, state.n, first, length), abs=1e-12
                 )
 
     def test_dimension_mismatch(self):
         state = statevector.ground_state(6, -0.5)
         with pytest.raises(DimensionMismatch):
             entanglement.purity(state, Bipartition(sites=8, mask=0b00001111))
+
+
+class TestPurityProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(n_sites=st.integers(4, 10), g=st.floats(-1.5, 1.5), data=st.data())
+    def test_bounds_complement_and_ring_symmetries(self, n_sites, g, data):
+        crossings = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        assume(min(abs(g - gc) for gc in crossings) > 1e-6)
+        state = statevector.ground_state(n_sites, g)
+        part = data.draw(st.sampled_from(entanglement.balanced_bipartitions(n_sites)))
+        value = entanglement.purity(state, part)
+        assert 2.0 ** (-part.size_a) <= value <= 1.0 + 1e-12
+        full = (1 << n_sites) - 1
+        for image in (Bipartition(n_sites, part.mask ^ full), rotated(part), reflected(part)):
+            assert entanglement.purity(state, image) == pytest.approx(value, abs=1e-12)
 
 
 class TestPurityStats:

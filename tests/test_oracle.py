@@ -98,6 +98,28 @@ class TestGroundEigenpair:
         off = oracle.ground_eigenpair(oracle.build_spin_hamiltonian(6, g_c + 0.05))
         assert not off.degenerate
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+        ids=["empty", "rectangular", "vector", "rank-3"],
+    )
+    def test_rejects_non_square_input(self, matrix):
+        with pytest.raises(ValueError, match="non-empty square"):
+            oracle.ground_eigenpair(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix", [[[0.0, 1.0], [5.0, 0.0]], [[1.0, 7.0], [0.0, 2.0]]], ids=["skew", "triangular"]
+    )
+    def test_rejects_asymmetric_input(self, matrix):
+        with pytest.raises(ValueError, match="not symmetric"):
+            oracle.ground_eigenpair(matrix)
+
+    def test_one_by_one_matrix_has_infinite_gap(self):
+        pair = oracle.ground_eigenpair([[-2.5]])
+        assert pair.energy == -2.5
+        assert pair.gap == math.inf
+        assert not pair.degenerate
+
 
 class TestSpectrumSymmetry:
     @pytest.mark.parametrize("n_sites,g", [(4, 0.8), (5, 0.35), (6, -0.6)])

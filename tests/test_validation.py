@@ -92,10 +92,7 @@ ENTRY_POINTS = {
         oracle.verify_sector_hamiltonians, 3, True, "sector reassembly audit"
     ),
     "run_verification": EntryPoint(
-        lambda n, g: verify.run_verification(n, spot_fields=(g,)),
-        3,
-        True,
-        "verification suite",
+        lambda n, g: verify.run_verification(n), 3, False, "verification suite"
     ),
 }
 

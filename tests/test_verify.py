@@ -37,6 +37,11 @@ class TestChecks:
         for g in grid:
             assert min(abs(g - gc) for gc in fields) > 1e-3
 
+    def test_ground_agreement_refuses_empty_grid(self):
+        # A check over no field would report passed with "points": 0.
+        with pytest.raises(ValueError, match="empty"):
+            verify.check_ground_agreement(6, [])
+
     def test_energy_check_catches_corruption(self, monkeypatch):
         true_build = oracle.build_spin_hamiltonian
 

@@ -31,7 +31,6 @@ from .entanglement import (
 from .errors import (
     DegenerateAtCrossing,
     DimensionMismatch,
-    MismatchError,
     NoConvergence,
     SingularPoint,
     SizeLimit,
@@ -78,7 +77,6 @@ __all__ = [
     "verify_sector_hamiltonians",
     "DegenerateAtCrossing",
     "DimensionMismatch",
-    "MismatchError",
     "NoConvergence",
     "SingularPoint",
     "SizeLimit",

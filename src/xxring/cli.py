@@ -284,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sites", type=int, required=True, help="ring size")
         if grid is not None:
             p.add_argument("--g", type=float, help="single field value")
+        if grid == "sweep":
             p.add_argument("--g-min", type=float, help=f"grid start (default {_DEFAULT_G_MIN})")
             p.add_argument("--g-max", type=float, help=f"grid end (default {_DEFAULT_G_MAX})")
             p.add_argument("--steps", type=int, help=f"grid points (default {_DEFAULT_STEPS})")
@@ -347,12 +348,14 @@ def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 parser.error(f"--{flag.replace('_', '-')}: {exc}")
     if args.grid_kind is None or getattr(args, "modes", False):
         return ()
+    if args.grid_kind == "single":
+        if args.g is None:
+            parser.error(f"{args.command} needs a single field value via --g")
+        return (args.g,)
     if args.g is not None:
         if args.g_min is not None or args.g_max is not None or args.steps is not None:
             parser.error("--g cannot be combined with --g-min/--g-max/--steps")
         return (args.g,)
-    if args.grid_kind == "single":
-        parser.error(f"{args.command} needs a single field value via --g")
     g_min = args.g_min if args.g_min is not None else _DEFAULT_G_MIN
     g_max = args.g_max if args.g_max is not None else _DEFAULT_G_MAX
     steps = args.steps if args.steps is not None else _DEFAULT_STEPS

@@ -22,14 +22,5 @@ class NoConvergence(XXRingError):
     """The eigensolver failed to deliver an eigenpair within tolerance."""
 
 
-class MismatchError(XXRingError):
-    """Two operator builds that must coincide differ beyond tolerance."""
-
-    def __init__(self, message, max_deviation=None, entry=None):
-        super().__init__(message)
-        self.max_deviation = max_deviation
-        self.entry = entry
-
-
 class DimensionMismatch(XXRingError):
     """Operands describe different numbers of sites."""

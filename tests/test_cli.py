@@ -321,10 +321,7 @@ SUBCOMMAND_OPTIONS = {
         "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
         "--format", "--output", "--detail",
     ],
-    "ground-state": [
-        "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
-        "--format", "--output",
-    ],
+    "ground-state": ["-h", "--help", "--sites", "--g", "--format", "--output"],
     "entanglement": [
         "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
         "--format", "--output", "--workers", "--detail",

@@ -22,7 +22,7 @@ def _guard_dense_builds(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a dense operator was built before the size check")
 
-    monkeypatch.setattr(oracle, "reduce", refuse)
+    monkeypatch.setattr(oracle.Monomial, "dense_sum", staticmethod(refuse))
     monkeypatch.setattr(oracle, "build_spin_hamiltonian", refuse)
 
 

@@ -3,7 +3,17 @@
 Closed-form spectrum and critical points, explicit ground-state vectors,
 balanced-bipartition purity statistics, and a dense brute-force oracle that
 cross-validates all of it at small sizes.
+
+``import xxring`` loads no numpy: the closed forms of ``analytic`` need only
+``math``.  The numpy-backed modules ``statevector``, ``entanglement``,
+``oracle`` and ``verify`` are registered in ``sys.modules`` and bound on the
+package at import, but each one runs (and loads numpy) on the first
+attribute read from it.  Their public names are re-exported lazily too, so
+``xxring.ground_state`` is the very object ``xxring.statevector.ground_state``.
 """
+
+import sys as _sys
+from importlib import util as _importlib_util
 
 from .analytic import (
     CriticalPoint,
@@ -20,14 +30,6 @@ from .analytic import (
     relative_error,
     thermodynamic_energy,
 )
-from .entanglement import (
-    Bipartition,
-    PurityStats,
-    balanced_bipartitions,
-    entanglement_sweep,
-    purity,
-    purity_stats,
-)
 from .errors import (
     DegenerateAtCrossing,
     DimensionMismatch,
@@ -36,14 +38,52 @@ from .errors import (
     SizeLimit,
     XXRingError,
 )
-from .oracle import (
-    build_jw_hamiltonian,
-    build_parity_operator,
-    build_spin_hamiltonian,
-    ground_eigenpair,
-    verify_sector_hamiltonians,
-)
-from .statevector import StateVector, ground_state, slater_amplitude
+
+
+def _lazy_submodule(name: str):
+    """Register xxring.<name> so that its body runs on first attribute access."""
+    spec = _importlib_util.find_spec(f"{__name__}.{name}")
+    spec.loader = _importlib_util.LazyLoader(spec.loader)
+    module = _importlib_util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+statevector = _lazy_submodule("statevector")
+entanglement = _lazy_submodule("entanglement")
+oracle = _lazy_submodule("oracle")
+verify = _lazy_submodule("verify")
+
+#: Home module of each public name the lazily loaded modules export.
+_LAZY_EXPORTS = {
+    "StateVector": statevector,
+    "ground_state": statevector,
+    "slater_amplitude": statevector,
+    "Bipartition": entanglement,
+    "PurityStats": entanglement,
+    "balanced_bipartitions": entanglement,
+    "entanglement_sweep": entanglement,
+    "purity": entanglement,
+    "purity_stats": entanglement,
+    "build_jw_hamiltonian": oracle,
+    "build_parity_operator": oracle,
+    "build_spin_hamiltonian": oracle,
+    "ground_eigenpair": oracle,
+    "verify_sector_hamiltonians": oracle,
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_EXPORTS})
+
 
 __version__ = "0.1.0"
 

@@ -114,6 +114,31 @@ def _validate_index(n_sites: int, index: int, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, {n_sites}), got {index}")
 
 
+def field_grid(g_min: float, g_max: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced fields from g_min to g_max, both ends included.
+
+    The very doubles of ``numpy.linspace(g_min, g_max, steps)``: point i is
+    i*step + g_min with step = (g_max - g_min)/(steps - 1), or
+    i/(steps - 1)*(g_max - g_min) + g_min where the step rounds to zero (a
+    denormal span), and the last point is g_max itself.  Raises ValueError
+    for fewer than 2 steps and for a span g_max - g_min that overflows.
+    """
+    if steps < 2:
+        raise ValueError(f"a field grid needs at least 2 steps, got {steps}")
+    start, stop = float(g_min), float(g_max)
+    delta = stop - start
+    if not math.isfinite(delta):
+        raise ValueError(f"the span g_max - g_min of [{start!r}, {stop!r}] is not finite")
+    div = steps - 1
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + start for i in range(steps)]
+    else:
+        grid = [i * step + start for i in range(steps)]
+    grid[-1] = stop
+    return grid
+
+
 def finite_size_parameter(n_sites: int) -> float:
     """chi_N = sin(pi/N) / (pi/N).
 

@@ -18,11 +18,10 @@ import io
 import json
 import sys
 
-import numpy as np
-
-from . import analytic, entanglement, verify
+# Modules, not their names: a from-import of a name would run the
+# numpy-backed modules here, and the closed-form commands never need them.
+from . import analytic, entanglement, statevector, verify
 from .errors import DegenerateAtCrossing, SizeLimit, XXRingError
-from .statevector import ground_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -176,7 +175,7 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
 def _cmd_ground_state(args: argparse.Namespace) -> int:
     n_sites = args.sites
     g = args.g
-    state = ground_state(n_sites, g)
+    state = statevector.ground_state(n_sites, g)
     n = state.n
     triples = [
         (index, float(amp.real), float(amp.imag))
@@ -363,7 +362,10 @@ def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(f"--steps must be at least 2, got {steps}")
     if not g_min < g_max:
         parser.error(f"--g-min must be below --g-max, got [{g_min}, {g_max}]")
-    return tuple(float(x) for x in np.linspace(g_min, g_max, steps))
+    try:
+        return tuple(analytic.field_grid(g_min, g_max, steps))
+    except ValueError as exc:
+        parser.error(f"--g-min/--g-max: {exc}")
 
 
 def main(argv=None) -> int:

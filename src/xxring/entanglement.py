@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import _crossing_fields, _validate_field, _validate_sites, ground_sector
+from .analytic import (
+    _crossing_fields,
+    _validate_field,
+    _validate_sites,
+    field_grid,
+    ground_sector,
+)
 from .errors import DimensionMismatch
 from .statevector import StateVector, ground_state
 
@@ -149,24 +155,19 @@ def entanglement_sweep(
     """Purity statistics over a uniform field grid.
 
     Grid points landing on a level crossing are nudged by +1e-6 instead of
-    failing, so the sweep is total.  The ground state depends on g only
-    through its sector n = ground_sector(N, g), so the cuts are evaluated
-    once per sector and every other grid point of that sector reuses them
-    with its own g.  ``workers`` is accepted for compatibility (the CLI
-    still echoes it in its JSON params) and ignored: sweeps always run
-    serially.
+    failing, so the sweep is total; a span g_max - g_min that overflows
+    raises ValueError.  The ground state depends on g only through its
+    sector n = ground_sector(N, g), so the cuts are evaluated once per
+    sector and every other grid point of that sector reuses them with its
+    own g.  ``workers`` is accepted for compatibility (the CLI still echoes
+    it in its JSON params) and ignored: sweeps always run serially.
     """
     _validate_sites(n_sites, minimum=3, budget="purity statistics")
-    if steps < 2:
-        raise ValueError(f"a sweep needs at least 2 steps, got {steps}")
     _validate_field(g_min)
     _validate_field(g_max)
     if not g_min < g_max:
         raise ValueError(f"need g_min < g_max, got [{g_min}, {g_max}]")
-    grid = [
-        _nudge_off_crossings(n_sites, g)
-        for g in np.linspace(g_min, g_max, steps)
-    ]
+    grid = [_nudge_off_crossings(n_sites, g) for g in field_grid(g_min, g_max, steps)]
     by_sector: dict[int, PurityStats] = {}
     results = []
     for g in grid:

@@ -364,3 +364,46 @@ class TestProperties:
         assert analytic.envelope_energy(n_sites, g) <= ground + 1e-12
         for n in range(n_sites + 1):
             assert ground <= analytic.min_energy_density(n_sites, n, g) + 1e-12
+
+
+class TestFieldGrid:
+    """field_grid must give the very doubles of numpy.linspace, its reference."""
+
+    @pytest.mark.parametrize(
+        "g_min,g_max,steps",
+        [
+            (-1.5, 1.5, 121),  # the README grid
+            (-1.5, 1.5, 61),  # the CLI default grid
+            (0.0, 1e-320, 7),  # a denormal span
+            (0.0, 1e-323, 7),  # the step rounds to 0: i*step would be 0 inside
+            (-0.3, 0.7, 2),  # the two ends alone
+            (0, 1, 5),  # integer ends
+        ],
+    )
+    def test_fixed_grids_match_linspace(self, g_min, g_max, steps):
+        assert analytic.field_grid(g_min, g_max, steps) == np.linspace(g_min, g_max, steps).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g_min=st.floats(allow_nan=False, allow_infinity=False),
+        g_max=st.floats(allow_nan=False, allow_infinity=False),
+        steps=st.integers(2, 300),
+    )
+    def test_matches_linspace(self, g_min, g_max, steps):
+        assume(math.isfinite(g_max - g_min))
+        grid = analytic.field_grid(g_min, g_max, steps)
+        # Near the largest double, (steps - 1)*step can round past it; the
+        # last point is replaced by g_max on both sides.
+        with np.errstate(over="ignore"):
+            assert grid == np.linspace(g_min, g_max, steps).tolist()
+        assert len(grid) == steps and grid[0] == g_min and grid[-1] == g_max
+
+    @pytest.mark.parametrize("g_min,g_max", [(-1e308, 1e308), (1e308, -1e308)])
+    def test_rejects_overflowing_span(self, g_min, g_max):
+        with pytest.raises(ValueError, match="not finite"):
+            analytic.field_grid(g_min, g_max, 3)
+
+    @pytest.mark.parametrize("steps", [1, 0, -4])
+    def test_rejects_fewer_than_two_steps(self, steps):
+        with pytest.raises(ValueError, match="at least 2 steps"):
+            analytic.field_grid(-1.0, 1.0, steps)

@@ -269,6 +269,8 @@ class TestExitCodes:
             ["entanglement", "--sites", "5", "--g", "0.1", "--workers", "0"],
             ["spectrum", "--sites", "8", "--g", "0.1", "--steps", "3"],
             ["spectrum", "--sites", "7", "--single-particle", "--modes"],
+            # Finite ends whose span overflows.
+            ["spectrum", "--sites", "5", "--g-min=-1e308", "--g-max=1e308", "--steps", "3"],
         ],
     )
     def test_usage_errors_before_any_work(self, args, capsys):
@@ -345,21 +347,52 @@ class TestParser:
         assert options == SUBCOMMAND_OPTIONS
 
 
-#: Runs in a fresh interpreter: the test process itself has scipy loaded.
-_SCIPY_PROBE = """
-import json, sys
+#: The closed-form invocations of the README "Reproducing the standard plots"
+#: table; none of them may load numpy.
+CLOSED_FORM_COMMANDS = [
+    ["spectrum", "--sites", "8", "--single-particle"],
+    ["spectrum", "--sites", "8", "--modes"],
+    ["spectrum", "--sites", "8"],
+    ["critical-points", "--sites", "8"],
+    ["envelope", "--sites", "9"],
+    ["envelope", "--sites", "45"],
+    ["envelope", "--sites", "50", "--detail"],
+]
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+#: Runs in a fresh interpreter: the test process itself has numpy and scipy
+#: loaded.  Records the numpy and scipy modules loaded after each step.
+_SCIPY_PROBE = """
+import json, os, sys
+
+def loaded(top):
+    return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 
 seen = {}
+def record(step):
+    seen[step] = {"numpy": loaded("numpy"), "scipy": loaded("scipy")}
+
+out_dir, commands = sys.argv[1], json.loads(sys.argv[2])
 import xxring
-seen["import xxring"] = scipy_modules()
+record("import xxring")
 import xxring.cli
-seen["import xxring.cli"] = scipy_modules()
-code = xxring.cli.main(["verify", "--sites", "4", "--output", sys.argv[1]])
-seen["verify --sites 4"] = scipy_modules()
-print(json.dumps({"code": code, "seen": seen}))
+record("import xxring.cli")
+layers = sorted(m for m in sys.modules if m.startswith("xxring."))
+codes = []
+for argv in commands:
+    codes.append(xxring.cli.main(argv + ["--output", os.path.join(out_dir, "closed.out")]))
+    record(" ".join(argv))
+codes.append(xxring.cli.main(["verify", "--sites", "4", "--output", os.path.join(out_dir, "verify.json")]))
+record("verify --sites 4")
+foreign = [
+    name for name in xxring.__all__
+    if getattr(xxring, name) is not getattr(sys.modules[getattr(xxring, name).__module__], name)
+]
+star = {}
+exec("from xxring import *", star)
+print(json.dumps({
+    "codes": codes, "seen": seen, "layers": layers, "foreign": foreign,
+    "star": sorted(name for name in star if name != "__builtins__"),
+}))
 """
 
 
@@ -370,19 +403,30 @@ class TestRuntimeDependencies:
         env["PYTHONPATH"] = os.pathsep.join(
             [package_root, *filter(None, [env.get("PYTHONPATH")])]
         )
-        report = tmp_path / "verify.json"
         run = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, str(report)],
+            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(CLOSED_FORM_COMMANDS)],
             env=env,
             capture_output=True,
             text=True,
             check=True,
         )
         probe = json.loads(run.stdout)
-        assert probe["code"] == cli.EXIT_OK
-        assert json.loads(report.read_text())["passed"] is True
-        assert probe["seen"] == {
-            "import xxring": [],
-            "import xxring.cli": [],
-            "verify --sites 4": [],
-        }
+        assert probe["codes"] == [cli.EXIT_OK] * (len(CLOSED_FORM_COMMANDS) + 1)
+        assert json.loads((tmp_path / "verify.json").read_text())["passed"] is True
+        seen = probe["seen"]
+        # numpy loads on first use of a numpy-backed module, never before.
+        closed_form = ["import xxring", "import xxring.cli"]
+        closed_form += [" ".join(argv) for argv in CLOSED_FORM_COMMANDS]
+        assert list(seen) == closed_form + ["verify --sites 4"]
+        assert {step: seen[step]["numpy"] for step in closed_form} == dict.fromkeys(
+            closed_form, []
+        )
+        assert "numpy" in seen["verify --sites 4"]["numpy"]
+        assert {step: loaded["scipy"] for step, loaded in seen.items()} == dict.fromkeys(
+            seen, []
+        )
+        # perfbench/tracer.py wraps these modules right after `import xxring.cli`.
+        layers = ("cli", "analytic", "statevector", "entanglement", "oracle", "verify")
+        assert {f"xxring.{layer}" for layer in layers} <= set(probe["layers"])
+        assert probe["foreign"] == []
+        assert set(xxring.__all__) <= set(probe["star"])

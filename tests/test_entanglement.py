@@ -344,6 +344,9 @@ class TestSweep:
             entanglement.entanglement_sweep(6, -1.5, math.inf, 4)
         with pytest.raises(ValueError, match="finite"):
             entanglement.entanglement_sweep(6, -math.inf, 1.5, 4)
+        # Finite ends whose span g_max - g_min overflows.
+        with pytest.raises(ValueError, match="span"):
+            entanglement.entanglement_sweep(6, -1e308, 1e308, 4)
 
     def test_accepts_numpy_integer_sites(self):
         assert entanglement.purity_stats(np.int64(6), 0.3) == entanglement.purity_stats(6, 0.3)

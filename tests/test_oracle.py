@@ -172,6 +172,17 @@ class TestGroundEigenpair:
         with pytest.raises(ValueError, match="not symmetric"):
             oracle.ground_eigenpair(matrix)
 
+    @pytest.mark.parametrize("row,col", [(0, 5), (2, 7)], ids=["vacuum", "inner"])
+    def test_rejects_one_sided_entry_joining_two_sectors(self, row, col):
+        # A single H[row, col] couples two fermion-number sectors of N = 3
+        # (0 and 2, or 1 and 3): the asymmetry lies inside the block that
+        # entry creates.
+        ham = oracle.build_spin_hamiltonian(3, 0.37)
+        assert ham[row, col] == ham[col, row] == 0.0
+        ham[row, col] = 0.3
+        with pytest.raises(ValueError, match="not symmetric"):
+            oracle.ground_eigenpair(ham)
+
     def test_one_by_one_matrix_has_infinite_gap(self):
         pair = oracle.ground_eigenpair([[-2.5]])
         assert pair.energy == -2.5

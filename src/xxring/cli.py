@@ -336,7 +336,7 @@ def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     """The field grid of the command, from --g or --g-min/--g-max/--steps.
 
     Field flags are checked first, also where the command then ignores the
-    grid (``spectrum --modes``).
+    grid (``spectrum --modes``, ``envelope --detail``).
     """
     for flag in ("g", "g_min", "g_max"):
         value = getattr(args, flag, None)
@@ -345,7 +345,8 @@ def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 analytic._validate_field(value)
             except ValueError as exc:
                 parser.error(f"--{flag.replace('_', '-')}: {exc}")
-    if args.grid_kind is None or getattr(args, "modes", False):
+    ignores_grid = getattr(args, "modes", False) or (args.command == "envelope" and args.detail)
+    if args.grid_kind is None or ignores_grid:
         return ()
     if args.grid_kind == "single":
         if args.g is None:

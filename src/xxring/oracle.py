@@ -9,11 +9,13 @@ The site operators sigma^+-, sigma^z and the Jordan-Wigner c_j are monomial
 matrices: each column holds at most one nonzero.  They are built and
 multiplied as ``Monomial`` pairs of arrays, so products, transposes and
 diagonal scalings are gathers (the bit-operation form of A. W. Sandvik,
-arXiv:1101.3281, sec. 4.1).  The parity operator is diagonal and is returned
-as its vector of +-1 entries.  Hamiltonians are dense, and every eigensolve
-splits the matrix into the connected blocks of its own nonzero pattern and
-solves each block on its own (H. Q. Lin, PRB 42, 6561 (1990)); for the XX
-ring these blocks are the N + 1 fermion-number sectors.
+arXiv:1101.3281, sec. 4.1).  The mode-number forms of the sector audit are
+sums of such monomial hoppings c_i+ c_j.  The parity operator is diagonal
+and is returned as its vector of +-1 entries.  Hamiltonians are dense, and
+every eigensolve splits the matrix into the connected blocks of its own
+nonzero pattern and solves each block on its own (H. Q. Lin, PRB 42, 6561
+(1990)); for the XX ring these blocks are the N + 1 fermion-number sectors,
+and only the block holding the ground level is solved for eigenvectors.
 """
 
 from __future__ import annotations
@@ -263,13 +265,14 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     """Lowest eigenpair of a dense symmetric matrix, solved block by block.
 
     The blocks are the connected components of the matrix's own nonzero
-    pattern; each gets a full ``numpy.linalg.eigh``.  The lowest level over
-    all blocks gives the eigenpair (zero outside its block), and the two
-    lowest levels over all blocks give the gap behind the degeneracy flag
-    (infinite for a 1 x 1 matrix).  Input that is not a non-empty square
-    matrix, or not symmetric within RESIDUAL_TOLERANCE times its Frobenius
-    norm, raises ValueError.  The eigenpair is rejected with NoConvergence
-    when its residual against the whole matrix exceeds that same bound.
+    pattern; each gets a ``numpy.linalg.eigvalsh``, and only the block
+    holding the lowest level gets a ``numpy.linalg.eigh`` for the eigenpair
+    (zero outside its block).  The two lowest levels over all blocks give
+    the gap behind the degeneracy flag (infinite for a 1 x 1 matrix).
+    Input that is not a non-empty square matrix, or not symmetric within
+    RESIDUAL_TOLERANCE times its Frobenius norm, raises ValueError.  The
+    eigenpair is rejected with NoConvergence when its residual against the
+    whole matrix exceeds that same bound.
     """
     hamiltonian = _square(hamiltonian, dtype=float)
     dim = hamiltonian.shape[0]
@@ -280,18 +283,17 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     asymmetry = math.sqrt(sum(np.linalg.norm(block - block.T) ** 2 for _, block in blocks))
     if asymmetry > bound:
         raise ValueError(f"matrix is not symmetric: |H - H^T| {asymmetry:.3e} exceeds {bound:.3e}")
-    solves = []
-    for index, block in blocks:
-        try:
-            solves.append((index, *np.linalg.eigh(block)))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
-    index, values, vectors = min(solves, key=lambda solve: solve[1][0])
+    try:
+        levels = [np.linalg.eigvalsh(block) for _, block in blocks]
+        index, block = blocks[min(range(len(blocks)), key=lambda b: levels[b][0])]
+        values, vectors = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
     energy = float(values[0])
     vector = np.zeros(dim)
     vector[index] = vectors[:, 0]
-    levels = np.sort(np.concatenate([solve[1][:2] for solve in solves]))
-    gap = float(levels[1] - levels[0]) if dim > 1 else math.inf
+    lowest = np.sort(np.concatenate([block_levels[:2] for block_levels in levels]))
+    gap = float(lowest[1] - lowest[0]) if dim > 1 else math.inf
     residual = np.linalg.norm(hamiltonian @ vector - energy * vector)
     if residual > bound:
         raise NoConvergence(
@@ -303,17 +305,29 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     )
 
 
-def _mode_number_operators(n_sites: int, alpha: float) -> list[np.ndarray]:
-    """Number operators of the shifted-momentum modes, as dense matrices."""
-    cs = [jw_annihilation(n_sites, j).astype(complex) for j in range(n_sites)]
-    operators = []
-    for k in range(n_sites):
-        mode = sum(
-            np.exp(-2j * np.pi * (k + alpha) * j / n_sites) * cs[j]
-            for j in range(n_sites)
-        ) / math.sqrt(n_sites)
-        operators.append(mode.conj().T @ mode)
-    return operators
+def _sector_reassembly(n_sites: int, g: float) -> np.ndarray:
+    """The sum of the two parity-projected diagonal forms, as one dense matrix.
+
+    For each offset alpha, -2 sum_k (n_k - 1/2) w_k with w_k = g - cos_k is
+    sum_ij T_ij c_i+ c_j + (sum_k w_k) I, where T_ij = -(2/N) sum_k w_k
+    e^{2 pi i (k+alpha)(i-j)/N}.  Each projected hopping P c_i+ c_j P is a
+    monomial; only the sum of the 2(N^2 + 1) terms is made dense.
+    """
+    cs = [Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+    hops = [[c_i.T @ c_j for c_j in cs] for c_i in cs]
+    parity = build_parity_operator(n_sites)
+    sites = np.arange(n_sites)
+    separation = sites[:, None] - sites
+    terms = []
+    for alpha, projector in ((0.0, (1.0 + parity) / 2.0), (0.5, (1.0 - parity) / 2.0)):
+        weights = np.array([g - mode_cosine(n_sites, alpha, k) for k in range(n_sites)])
+        phases = np.exp(2j * np.pi * np.multiply.outer(separation, sites + alpha) / n_sites)
+        hopping = -(2.0 / n_sites) * (phases @ weights)
+        project = Monomial.identity(1 << n_sites).scaled(projector)
+        for i, j in np.ndindex(n_sites, n_sites):
+            terms.append((project @ hops[i][j] @ project).scaled(hopping[i, j]))
+        terms.append((project @ project).scaled(weights.sum()))
+    return Monomial.dense_sum(terms)
 
 
 def verify_sector_hamiltonians(n_sites: int, g: float) -> SectorAuditReport:
@@ -327,21 +341,8 @@ def verify_sector_hamiltonians(n_sites: int, g: float) -> SectorAuditReport:
     """
     _validate_sites(n_sites, minimum=3, budget="sector reassembly audit")
     _validate_field(g)
-    dim = 1 << n_sites
     ham = build_spin_hamiltonian(n_sites, g)
-    parity = build_parity_operator(n_sites)
-    eye = np.eye(dim)
-    projectors = {0.0: (1.0 + parity) / 2.0, 0.5: (1.0 - parity) / 2.0}
-
-    reassembled = np.zeros((dim, dim), dtype=complex)
-    for alpha, projector in projectors.items():
-        diagonal_form = np.zeros((dim, dim), dtype=complex)
-        for k, number_op in enumerate(_mode_number_operators(n_sites, alpha)):
-            diagonal_form -= 2.0 * (number_op - 0.5 * eye) * (
-                g - mode_cosine(n_sites, alpha, k)
-            )
-        reassembled += projector[:, None] * diagonal_form * projector
-
+    reassembled = _sector_reassembly(n_sites, g)
     deviation = np.abs(reassembled - ham)
     row, col = np.unravel_index(int(deviation.argmax()), deviation.shape)
     hermitian = (reassembled + reassembled.conj().T) / 2

@@ -17,6 +17,7 @@ from .analytic import (
     SIZE_LIMITS,
     _validate_sites,
     critical_points,
+    field_grid,
     ground_energy_density,
 )
 from .statevector import ground_state
@@ -70,11 +71,8 @@ def _result(name, deviation, tolerance, **detail):
 def default_field_grid(n_sites: int) -> list[float]:
     """Uniform field grid with crossing neighborhoods removed."""
     fields = [cp.g_c for cp in critical_points(n_sites)]
-    return [
-        float(g)
-        for g in np.linspace(-FIELD_GRID_SPAN, FIELD_GRID_SPAN, FIELD_GRID_POINTS)
-        if min(abs(g - gc) for gc in fields) > CROSSING_EXCLUSION
-    ]
+    grid = field_grid(-FIELD_GRID_SPAN, FIELD_GRID_SPAN, FIELD_GRID_POINTS)
+    return [g for g in grid if min(abs(g - gc) for gc in fields) > CROSSING_EXCLUSION]
 
 
 def check_pauli_site_algebra(n_sites: int) -> CheckResult:

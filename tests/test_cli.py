@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,18 @@ class TestEnvelopeCommand:
             math.sin(math.pi / 50) / (math.pi / 50), abs=1e-15
         )
 
+    def test_detail_builds_no_grid(self, tmp_path):
+        # The detail table reads no field grid, so grid flags do not count;
+        # the bytes are those of the README plot command.
+        code, data = run_cli(["envelope", "--sites", "50", "--detail"], tmp_path, "d.csv")
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(data).hexdigest() == (
+            "2b1e2b3933f54caa1cefce426c662571229881af13bcfa0a967e678611fbdf90"
+        )
+        for flags in (["--steps", "1"], ["--g-min", "1", "--g-max=-1"]):
+            args = ["envelope", "--sites", "50", "--detail", *flags]
+            assert run_cli(args, tmp_path, "f.csv") == (cli.EXIT_OK, data)
+
 
 class TestGroundStateCommand:
     def test_json_triples_cover_sector(self, tmp_path):
@@ -265,6 +278,7 @@ class TestExitCodes:
         [
             # Field flags are checked even where the command ignores the grid.
             ["spectrum", "--sites", "8", "--modes", "--g=nan"],
+            ["envelope", "--sites", "9", "--detail", "--g=nan"],
             ["critical-points", "--sites", "6", "--g", "0.1"],
             ["entanglement", "--sites", "5", "--g", "0.1", "--workers", "0"],
             ["spectrum", "--sites", "8", "--g", "0.1", "--steps", "3"],

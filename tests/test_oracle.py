@@ -52,6 +52,26 @@ def sector_block(n_sites, n, g):
     return states, block
 
 
+def dense_projected_form(n_sites, g, alpha):
+    """Reference P_alpha [-2 sum_k (n_k - 1/2) w_k] P_alpha from dense mode operators.
+
+    Each mode number a_k+ a_k is a dense product of the Fourier sum
+    a_k = N^-1/2 sum_j e^{-2 pi i (k+alpha) j/N} c_j of dense c_j.
+    """
+    cs = [oracle.jw_annihilation(n_sites, j).astype(complex) for j in range(n_sites)]
+    eye = np.eye(1 << n_sites)
+    form = np.zeros_like(eye, dtype=complex)
+    for k in range(n_sites):
+        mode = sum(
+            np.exp(-2j * np.pi * (k + alpha) * j / n_sites) * cs[j] for j in range(n_sites)
+        ) / math.sqrt(n_sites)
+        number = mode.conj().T @ mode
+        form -= 2.0 * (number - 0.5 * eye) * (g - analytic.mode_cosine(n_sites, alpha, k))
+    parity = oracle.build_parity_operator(n_sites)
+    projector = (1.0 + parity) / 2.0 if alpha == 0.0 else (1.0 - parity) / 2.0
+    return projector[:, None] * form * projector
+
+
 def assert_same_as_full_solve(ham):
     """Blocked and full dense solves agree on energy, gap, flag and ground space."""
     pair = oracle.ground_eigenpair(ham)
@@ -222,6 +242,18 @@ class TestSectorReassembly:
         assert report.reassembly_deviation <= 1e-11
         assert report.spectrum_deviation <= 1e-11
 
+    @pytest.mark.parametrize("g", [0.7, -0.4, 0.5, -0.3])
+    @pytest.mark.parametrize("n_sites", range(3, 7))
+    def test_monomial_reassembly_equals_dense_mode_numbers(self, n_sites, g):
+        reassembled = oracle._sector_reassembly(n_sites, g)
+        parity = oracle.build_parity_operator(n_sites)
+        forms = []
+        for alpha, sector in ((0.0, 1.0), (0.5, -1.0)):
+            forms.append(dense_projected_form(n_sites, g, alpha))
+            inside = np.outer(parity == sector, parity == sector)
+            assert np.abs(np.where(inside, reassembled, 0.0) - forms[-1]).max() <= 1e-13
+        assert np.abs(reassembled - sum(forms)).max() <= 1e-13
+
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             oracle.verify_sector_hamiltonians(9, 0.1)
@@ -296,6 +328,24 @@ class TestBlockedSolve:
             flagged += assert_same_as_full_solve(ham).degenerate
         # Every crossing inside (-1, 1) puts the two lowest levels in two blocks.
         assert flagged >= n_sites - 1
+
+    @pytest.mark.parametrize("n_sites", range(3, 9))
+    def test_one_eigenvector_solve_per_call(self, n_sites, monkeypatch):
+        # Every block gets eigvalsh; only the ground block gets eigh, also at
+        # the crossings where the two lowest levels sit in different blocks.
+        true_eigh = np.linalg.eigh
+        solved = []
+
+        def counting(block):
+            solved.append(block.shape[0])
+            return true_eigh(block)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        crossings = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        for g in [*analytic.field_grid(-1.5, 1.5, 41), *crossings]:
+            before = len(solved)
+            oracle.ground_eigenpair(oracle.build_spin_hamiltonian(n_sites, g))
+            assert len(solved) == before + 1, g
 
     @pytest.mark.parametrize("n_sites", range(3, 9))
     def test_blocks_follow_the_matrix_not_the_model(self, n_sites):

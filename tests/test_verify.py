@@ -37,6 +37,19 @@ class TestChecks:
         for g in grid:
             assert min(abs(g - gc) for gc in fields) > 1e-3
 
+    @pytest.mark.parametrize("n_sites", range(3, 11))
+    def test_default_grid_is_the_linspace_grid(self, n_sites):
+        fields = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        span, points = verify.FIELD_GRID_SPAN, verify.FIELD_GRID_POINTS
+        expected = [
+            float(g)
+            for g in np.linspace(-span, span, points)
+            if min(abs(g - gc) for gc in fields) > verify.CROSSING_EXCLUSION
+        ]
+        grid = verify.default_field_grid(n_sites)
+        assert all(type(g) is float for g in grid)
+        assert [g.hex() for g in grid] == [g.hex() for g in expected]
+
     def test_ground_agreement_refuses_empty_grid(self):
         # A check over no field would report passed with "points": 0.
         with pytest.raises(ValueError, match="empty"):

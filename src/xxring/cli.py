@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 # Modules, not their names: a from-import of a name would run the
@@ -63,6 +62,8 @@ def _csv_text(columns, rows, metadata=None) -> str:
 
 
 def _json_text(payload) -> str:
+    import json  # here, not at the top: the CSV commands never load it
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -177,11 +178,9 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
     g = args.g
     state = statevector.ground_state(n_sites, g)
     n = state.n
-    triples = [
-        (index, float(amp.real), float(amp.imag))
-        for index, amp in enumerate(state.amplitudes)
-        if index.bit_count() == n
-    ]
+    indices = [index for index in range(state.dimension) if index.bit_count() == n]
+    sector = state.amplitudes[indices]
+    triples = list(zip(indices, sector.real.tolist(), sector.imag.tolist()))
     params = {"sites": n_sites, "g": float(g)}
     if args.format == "csv":
         _write(_csv_text(("index", "re", "im"), triples, {"fermions": n}), args.output)

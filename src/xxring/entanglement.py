@@ -12,7 +12,8 @@ shared).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +44,9 @@ class Bipartition:
 
     sites: int
     mask: int
+    #: The amplitude tensor's axes with A's before B's, each side ascending:
+    #: the transpose that ``purity`` applies (axis k is site N-1-k).
+    axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.mask < (1 << self.sites):
@@ -53,6 +57,9 @@ class Bipartition:
                 f"mask selects {size} sites; a balanced split of {self.sites} "
                 f"needs {self.sites // 2} or {(self.sites + 1) // 2}"
             )
+        a_axes = [k for k in range(self.sites) if (self.mask >> (self.sites - 1 - k)) & 1]
+        b_axes = [k for k in range(self.sites) if k not in a_axes]
+        object.__setattr__(self, "axes", (*a_axes, *b_axes))
 
     @property
     def size_a(self) -> int:
@@ -86,13 +93,18 @@ def balanced_bipartitions(n_sites: int) -> list[Bipartition]:
     C(N, (N-1)/2) in total.
     """
     _validate_sites(n_sites, minimum=3, budget="bipartition enumeration")
+    return list(_balanced_cuts(int(n_sites)))
+
+
+@functools.lru_cache(maxsize=None)  # one entry per ring size the budget allows
+def _balanced_cuts(n_sites: int) -> tuple[Bipartition, ...]:
     size_a = n_sites // 2
     even = n_sites % 2 == 0
-    return [
+    return tuple(
         Bipartition(sites=n_sites, mask=mask)
         for mask in range(1, 1 << n_sites)
         if mask.bit_count() == size_a and (not even or mask & 1)
-    ]
+    )
 
 
 def purity(state: StateVector, bipartition: Bipartition) -> float:
@@ -100,25 +112,23 @@ def purity(state: StateVector, bipartition: Bipartition) -> float:
 
     The amplitudes are viewed as a rank-N tensor of shape (2,) * N, whose
     axis k is site N-1-k; moving the A axes before the B axes (each kept in
-    ascending order) and flattening gives the 2^|A| x 2^|B| matrix M with
-    site order preserved on both sides.  The Gram matrix is formed on the
-    smaller side; the purity is its squared Frobenius norm.
+    ascending order: ``bipartition.axes``) and flattening gives the
+    2^|A| x 2^|B| matrix M with site order preserved on both sides.  The
+    Gram matrix is formed on the smaller side; the purity is its squared
+    Frobenius norm.
     """
     if state.sites != bipartition.sites:
         raise DimensionMismatch(
             f"state has {state.sites} sites but the bipartition has "
             f"{bipartition.sites}"
         )
-    n_sites = state.sites
-    a_axes = [k for k in range(n_sites) if (bipartition.mask >> (n_sites - 1 - k)) & 1]
-    b_axes = [k for k in range(n_sites) if k not in a_axes]
-    tensor = state.amplitudes.reshape((2,) * n_sites)
-    matrix = tensor.transpose(a_axes + b_axes).reshape(1 << len(a_axes), -1)
+    tensor = state.amplitudes.reshape((2,) * state.sites)
+    matrix = tensor.transpose(bipartition.axes).reshape(1 << bipartition.size_a, -1)
     if matrix.shape[0] <= matrix.shape[1]:
         gram = matrix @ matrix.conj().T
     else:
         gram = matrix.conj().T @ matrix
-    return float(np.sum(np.abs(gram) ** 2))
+    return float((np.abs(gram) ** 2).sum())
 
 
 def purity_stats(n_sites: int, g: float) -> PurityStats:
@@ -174,5 +184,6 @@ def entanglement_sweep(
         n = ground_sector(n_sites, g)
         if n not in by_sector:
             by_sector[n] = purity_stats(n_sites, g)
-        results.append(replace(by_sector[n], g=float(g)))
+        stats = by_sector[n]
+        results.append(PurityStats(float(g), n, stats.purities, stats.mu, stats.sigma))
     return results

@@ -115,6 +115,38 @@ class TestMinEnergyDensity:
                     )
 
 
+class TestPublicTypes:
+    def test_mode_set(self):
+        modes = analytic.ModeSet(n=2, alpha=0.5, modes=(1, 2))
+        assert (modes.n, modes.alpha, modes.modes) == (2, 0.5, (1, 2))
+        assert repr(modes) == "ModeSet(n=2, alpha=0.5, modes=(1, 2))"
+        assert modes == analytic.occupied_modes(4, 2)
+        assert hash(modes) == hash(analytic.ModeSet(n=2, alpha=0.5, modes=(1, 2)))
+        assert len({modes, analytic.occupied_modes(4, 2)}) == 1
+        # Named tuples: equal to the plain tuple of their fields.
+        assert modes == (2, 0.5, (1, 2))
+        with pytest.raises(AttributeError):
+            modes.n = 3
+        with pytest.raises(AttributeError):
+            modes.extra = 1
+
+    def test_critical_point(self):
+        point = analytic.CriticalPoint(n=0, g_c=-1.0)
+        assert (point.n, point.g_c) == (0, -1.0)
+        assert repr(point) == "CriticalPoint(n=0, g_c=-1.0)"
+        assert point == analytic.critical_points(8)[0]
+        assert hash(point) == hash(analytic.CriticalPoint(n=0, g_c=-1.0))
+        assert tuple(point) == (0, -1.0)
+        with pytest.raises(AttributeError):
+            point.g_c = 1.0
+        with pytest.raises(AttributeError):
+            point.extra = 1
+
+    def test_crossing_table_is_shared_and_immutable(self):
+        assert analytic._crossing_fields(8) is analytic._crossing_fields(8)
+        assert isinstance(analytic._crossing_fields(8), tuple)
+
+
 class TestCriticalPoints:
     def test_endpoints(self):
         for n_sites in range(3, 51):

@@ -205,6 +205,20 @@ class TestGroundStateCommand:
         norm = sum(re * re + im * im for _, re, im in payload["amplitudes"])
         assert norm == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_sites, g", [(3, -1.2), (6, 0.1), (9, -0.37), (10, 1.5)])
+    def test_rows_are_the_sector_amplitudes(self, tmp_path, n_sites, g):
+        code, data = run_cli(["ground-state", "--sites", str(n_sites), f"--g={g}"], tmp_path)
+        assert code == cli.EXIT_OK
+        state = xxring.ground_state(n_sites, g)
+        expected = [
+            [str(index), format(float(amp.real), ".17g"), format(float(amp.imag), ".17g")]
+            for index, amp in enumerate(state.amplitudes)
+            if index.bit_count() == state.n
+        ]
+        lines = data.decode().splitlines()
+        assert lines[:2] == [f"# fermions = {state.n}", "index,re,im"]
+        assert [line.split(",") for line in lines[2:]] == expected
+
     def test_requires_single_field_value(self, tmp_path):
         code = cli.main(["ground-state", "--sites", "5", "--steps", "4"])
         assert code == cli.EXIT_USAGE
@@ -239,6 +253,26 @@ class TestEntanglementCommand:
         assert [r["mask"] for r in rows] == ["3", "5", "9"]
         for row in rows:
             assert 0.0 < float(row["pi"]) <= 1.0
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--sites", "8", "--g=0.3", "--detail", "--format", "json"],
+                "3b3069977cde0a7c491515ba2a358cf6b44aae80c80d723974ec9990a4573057",
+            ),
+            (
+                ["--sites", "4,5,6", "--steps", "121"],
+                "e9b0f91eee012c337cb14bee2469c964093d452b11e706aeeb557a9843c7a429",
+            ),
+        ],
+    )
+    def test_bytes_are_pinned(self, tmp_path, args, digest):
+        # Recorded before the bipartitions carried their own axis order; the
+        # purities and their formatting must keep every byte.
+        code, data = run_cli(["entanglement", *args], tmp_path)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestExitCodes:
@@ -374,18 +408,28 @@ CLOSED_FORM_COMMANDS = [
 ]
 
 #: Runs in a fresh interpreter: the test process itself has numpy and scipy
-#: loaded.  Records the numpy and scipy modules loaded after each step.
+#: loaded.  Records the numpy and scipy modules loaded after each step, and
+#: which of ``_HEAVY_STDLIB`` were not loaded before ``import xxring``.  The
+#: probe takes that snapshot first and imports json itself only at the end,
+#: so the commands arrive one per line, not as JSON.
 _SCIPY_PROBE = """
-import json, os, sys
+import os, sys
+
+baseline = set(sys.modules)
+heavy = sys.argv[3].split(",")
 
 def loaded(top):
     return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 
 seen = {}
 def record(step):
-    seen[step] = {"numpy": loaded("numpy"), "scipy": loaded("scipy")}
+    seen[step] = {
+        "numpy": loaded("numpy"),
+        "scipy": loaded("scipy"),
+        "added": [m for m in heavy if m in sys.modules and m not in baseline],
+    }
 
-out_dir, commands = sys.argv[1], json.loads(sys.argv[2])
+out_dir, commands = sys.argv[1], [line.split(" ") for line in sys.argv[2].splitlines()]
 import xxring
 record("import xxring")
 import xxring.cli
@@ -395,6 +439,9 @@ codes = []
 for argv in commands:
     codes.append(xxring.cli.main(argv + ["--output", os.path.join(out_dir, "closed.out")]))
     record(" ".join(argv))
+json_argv = ["spectrum", "--sites", "8", "--format", "json"]
+codes.append(xxring.cli.main(json_argv + ["--output", os.path.join(out_dir, "spectrum.json")]))
+record(" ".join(json_argv))
 codes.append(xxring.cli.main(["verify", "--sites", "4", "--output", os.path.join(out_dir, "verify.json")]))
 record("verify --sites 4")
 foreign = [
@@ -403,34 +450,49 @@ foreign = [
 ]
 star = {}
 exec("from xxring import *", star)
+import json
 print(json.dumps({
     "codes": codes, "seen": seen, "layers": layers, "foreign": foreign,
     "star": sorted(name for name in star if name != "__builtins__"),
 }))
 """
 
+#: Standard-library modules the closed-form CSV commands must not load:
+#: ``dataclasses`` brings ``inspect`` (with ``ast``, ``dis`` and
+#: ``tokenize``), about 11 ms of every process, and ``json`` about 4 ms.
+_HEAVY_STDLIB = ("dataclasses", "inspect", "json")
+
+_CLOSED_FORM_STEPS = ["import xxring", "import xxring.cli"] + [
+    " ".join(argv) for argv in CLOSED_FORM_COMMANDS
+]
+
 
 class TestRuntimeDependencies:
-    def test_package_and_verify_load_no_scipy(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def probe(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("probe")
         package_root = str(Path(xxring.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [package_root, *filter(None, [env.get("PYTHONPATH")])]
         )
+        commands = "\n".join(" ".join(argv) for argv in CLOSED_FORM_COMMANDS)
         run = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(CLOSED_FORM_COMMANDS)],
+            [sys.executable, "-c", _SCIPY_PROBE, str(out_dir), commands, ",".join(_HEAVY_STDLIB)],
             env=env,
             capture_output=True,
             text=True,
             check=True,
         )
-        probe = json.loads(run.stdout)
-        assert probe["codes"] == [cli.EXIT_OK] * (len(CLOSED_FORM_COMMANDS) + 1)
-        assert json.loads((tmp_path / "verify.json").read_text())["passed"] is True
+        return out_dir, json.loads(run.stdout)
+
+    def test_package_and_verify_load_no_scipy(self, probe):
+        out_dir, probe = probe
+        assert probe["codes"] == [cli.EXIT_OK] * (len(CLOSED_FORM_COMMANDS) + 2)
+        assert json.loads((out_dir / "verify.json").read_text())["passed"] is True
         seen = probe["seen"]
         # numpy loads on first use of a numpy-backed module, never before.
-        closed_form = ["import xxring", "import xxring.cli"]
-        closed_form += [" ".join(argv) for argv in CLOSED_FORM_COMMANDS]
+        closed_form = _CLOSED_FORM_STEPS + ["spectrum --sites 8 --format json"]
         assert list(seen) == closed_form + ["verify --sites 4"]
         assert {step: seen[step]["numpy"] for step in closed_form} == dict.fromkeys(
             closed_form, []
@@ -444,3 +506,15 @@ class TestRuntimeDependencies:
         assert {f"xxring.{layer}" for layer in layers} <= set(probe["layers"])
         assert probe["foreign"] == []
         assert set(xxring.__all__) <= set(probe["star"])
+
+    def test_closed_form_csv_loads_no_dataclasses_inspect_or_json(self, probe):
+        out_dir, probe = probe
+        seen = probe["seen"]
+        assert {step: seen[step]["added"] for step in _CLOSED_FORM_STEPS} == dict.fromkeys(
+            _CLOSED_FORM_STEPS, []
+        )
+        # JSON output, which now imports json on demand, is still valid JSON.
+        payload = json.loads((out_dir / "spectrum.json").read_text())
+        validate_json(payload)
+        assert payload["command"] == "spectrum"
+        assert len(payload["rows"]) == 9 * 61

@@ -116,6 +116,23 @@ class TestBalancedBipartitions:
         with pytest.raises(ValueError):
             Bipartition(sites=6, mask=0b1)
 
+    def test_each_call_returns_a_fresh_list(self):
+        first = entanglement.balanced_bipartitions(6)
+        expected = [Bipartition(6, part.mask) for part in first]
+        first.clear()
+        first.append(Bipartition(6, 0b111000))
+        assert entanglement.balanced_bipartitions(6) == expected
+
+    def test_axes_move_a_before_b(self):
+        # Axis k of the amplitude tensor is site N-1-k.
+        assert Bipartition(5, 0b00110).axes == (2, 3, 0, 1, 4)
+        for n_sites in (4, 7):
+            for part in entanglement.balanced_bipartitions(n_sites):
+                a_axes = part.axes[: part.size_a]
+                assert sorted(a_axes) == list(a_axes)
+                assert sorted(part.axes[part.size_a :]) == list(part.axes[part.size_a :])
+                assert sum(1 << (n_sites - 1 - k) for k in a_axes) == part.mask
+
 
 class TestPurity:
     def test_product_state(self):
@@ -183,6 +200,26 @@ class TestPurity:
                 assert value == pytest.approx(
                     correlation_purity(n_sites, state.n, first, length), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("n_sites", range(3, 13))
+    def test_stats_are_the_bits_of_the_per_cut_reference(self, n_sites):
+        # The per-cut body as it stood before the bipartitions carried their
+        # own axis order; every purity must keep its exact bits.
+        def reference(state, mask):
+            a_axes = [k for k in range(n_sites) if (mask >> (n_sites - 1 - k)) & 1]
+            b_axes = [k for k in range(n_sites) if k not in a_axes]
+            tensor = state.amplitudes.reshape((2,) * n_sites)
+            matrix = tensor.transpose(a_axes + b_axes).reshape(1 << len(a_axes), -1)
+            gram = matrix @ matrix.conj().T
+            return float(np.sum(np.abs(gram) ** 2))
+
+        for g in [-1.5, *sector_midpoints(n_sites), 1.5]:
+            state = statevector.ground_state(n_sites, g)
+            stats = entanglement.purity_stats(n_sites, g)
+            assert stats.purities == tuple(
+                (part.mask, reference(state, part.mask))
+                for part in entanglement.balanced_bipartitions(n_sites)
+            )
 
     def test_dimension_mismatch(self):
         state = statevector.ground_state(6, -0.5)

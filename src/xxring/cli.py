@@ -220,7 +220,6 @@ def _cmd_entanglement(args: argparse.Namespace) -> int:
                 args.grid[0],
                 args.grid[-1],
                 len(args.grid),
-                workers=args.workers,
             )
         for stats in stats_list:
             if args.detail:

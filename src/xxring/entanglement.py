@@ -65,10 +65,6 @@ class Bipartition:
     def size_a(self) -> int:
         return self.mask.bit_count()
 
-    @property
-    def size_b(self) -> int:
-        return self.sites - self.size_a
-
 
 @dataclass(frozen=True)
 class PurityStats:
@@ -160,7 +156,6 @@ def entanglement_sweep(
     g_min: float,
     g_max: float,
     steps: int,
-    workers: int = 1,
 ) -> list[PurityStats]:
     """Purity statistics over a uniform field grid.
 
@@ -169,8 +164,7 @@ def entanglement_sweep(
     raises ValueError.  The ground state depends on g only through its
     sector n = ground_sector(N, g), so the cuts are evaluated once per
     sector and every other grid point of that sector reuses them with its
-    own g.  ``workers`` is accepted for compatibility (the CLI still echoes
-    it in its JSON params) and ignored: sweeps always run serially.
+    own g.
     """
     _validate_sites(n_sites, minimum=3, budget="purity statistics")
     _validate_field(g_min)

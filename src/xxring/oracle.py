@@ -34,9 +34,6 @@ DEGENERACY_GAP = 1e-9
 #: Residual bound for the eigensolver, relative to the Frobenius norm.
 RESIDUAL_TOLERANCE = 1e-10
 
-#: Max-entry tolerance for the sector reassembly audit.
-SECTOR_AUDIT_TOLERANCE = 1e-11
-
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])   # diagonal over (down, up)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |down><up|
 
@@ -127,21 +124,6 @@ class GroundEigenpair:
     gap: float
 
 
-@dataclass(frozen=True)
-class SectorAuditReport:
-    """Outcome of rebuilding the Hamiltonian from its parity-sector parts.
-
-    ``entry`` is the (row, column) of the largest reassembly deviation.
-    """
-
-    sites: int
-    g: float
-    reassembly_deviation: float
-    spectrum_deviation: float
-    tolerance: float
-    entry: tuple[int, int]
-
-
 def _popcounts(n_sites: int) -> np.ndarray:
     b = np.arange(1 << n_sites)
     counts = np.zeros(b.shape, dtype=np.int64)
@@ -170,18 +152,6 @@ def build_spin_hamiltonian(n_sites: int, g: float) -> np.ndarray:
         rows = b[differs]
         ham[rows, rows ^ pair] = -1.0
     return ham
-
-
-def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site 2x2 operator into the full 2^N space, as a dense matrix."""
-    return Monomial.dense_sum(
-        [Monomial.site(op, site, n_sites), Monomial.site(op, site, n_sites, flip=True)]
-    )
-
-
-def jw_annihilation(n_sites: int, site: int) -> np.ndarray:
-    """Fermion annihilation operator c_site = (prod_{l<site} sz_l) sigma^-_site, dense."""
-    return Monomial.dense_sum([Monomial.annihilation(n_sites, site)])
 
 
 def build_parity_operator(n_sites: int) -> np.ndarray:
@@ -305,14 +275,17 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     )
 
 
-def _sector_reassembly(n_sites: int, g: float) -> np.ndarray:
+def sector_reassembly(n_sites: int, g: float) -> np.ndarray:
     """The sum of the two parity-projected diagonal forms, as one dense matrix.
 
     For each offset alpha, -2 sum_k (n_k - 1/2) w_k with w_k = g - cos_k is
     sum_ij T_ij c_i+ c_j + (sum_k w_k) I, where T_ij = -(2/N) sum_k w_k
     e^{2 pi i (k+alpha)(i-j)/N}.  Each projected hopping P c_i+ c_j P is a
-    monomial; only the sum of the 2(N^2 + 1) terms is made dense.
+    monomial; only the sum of the 2(N^2 + 1) terms is made dense.  It must
+    equal build_spin_hamiltonian entrywise.
     """
+    _validate_sites(n_sites, minimum=3, budget="sector reassembly audit")
+    _validate_field(g)
     cs = [Monomial.annihilation(n_sites, j) for j in range(n_sites)]
     hops = [[c_i.T @ c_j for c_j in cs] for c_i in cs]
     parity = build_parity_operator(n_sites)
@@ -328,29 +301,3 @@ def _sector_reassembly(n_sites: int, g: float) -> np.ndarray:
             terms.append((project @ hops[i][j] @ project).scaled(hopping[i, j]))
         terms.append((project @ project).scaled(weights.sum()))
     return Monomial.dense_sum(terms)
-
-
-def verify_sector_hamiltonians(n_sites: int, g: float) -> SectorAuditReport:
-    """Rebuild H from its two parity-sector diagonal forms and compare.
-
-    For each offset alpha the free-fermion form -2 sum_k (n_k - 1/2)
-    [g - cos(2*pi*(alpha+k)/N)] is projected onto its own parity sector;
-    the two projections must sum to the Pauli-form Hamiltonian.  The report
-    carries the worst entry and both deviations; the caller compares them
-    with the tolerance.
-    """
-    _validate_sites(n_sites, minimum=3, budget="sector reassembly audit")
-    _validate_field(g)
-    ham = build_spin_hamiltonian(n_sites, g)
-    reassembled = _sector_reassembly(n_sites, g)
-    deviation = np.abs(reassembled - ham)
-    row, col = np.unravel_index(int(deviation.argmax()), deviation.shape)
-    hermitian = (reassembled + reassembled.conj().T) / 2
-    return SectorAuditReport(
-        sites=n_sites,
-        g=g,
-        reassembly_deviation=float(deviation[row, col]),
-        spectrum_deviation=float(np.abs(eigvalsh(ham) - eigvalsh(hermitian)).max()),
-        tolerance=SECTOR_AUDIT_TOLERANCE,
-        entry=(int(row), int(col)),
-    )

@@ -518,3 +518,41 @@ class TestRuntimeDependencies:
         validate_json(payload)
         assert payload["command"] == "spectrum"
         assert len(payload["rows"]) == 9 * 61
+
+
+class TestPackageExports:
+    def test_all_lists_each_public_name_once(self):
+        assert sorted(xxring.__all__) == [
+            "Bipartition",
+            "CriticalPoint",
+            "DegenerateAtCrossing",
+            "DimensionMismatch",
+            "ModeSet",
+            "NoConvergence",
+            "PurityStats",
+            "SingularPoint",
+            "SizeLimit",
+            "StateVector",
+            "XXRingError",
+            "alpha_for_sector",
+            "balanced_bipartitions",
+            "build_jw_hamiltonian",
+            "build_parity_operator",
+            "build_spin_hamiltonian",
+            "critical_points",
+            "entanglement_sweep",
+            "envelope_energy",
+            "envelope_second_derivative",
+            "finite_size_parameter",
+            "ground_eigenpair",
+            "ground_energy_density",
+            "ground_sector",
+            "ground_state",
+            "min_energy_density",
+            "occupied_modes",
+            "purity",
+            "purity_stats",
+            "relative_error",
+            "slater_amplitude",
+            "thermodynamic_energy",
+        ]

@@ -362,13 +362,6 @@ class TestSweep:
         entanglement.entanglement_sweep(10, -1.5, 1.5, 121)
         assert len(calls) == 11
 
-    def test_worker_count_does_not_change_results(self):
-        serial = entanglement.entanglement_sweep(6, -1.2, 1.2, 13, workers=1)
-        threaded = entanglement.entanglement_sweep(6, -1.2, 1.2, 13, workers=4)
-        assert [s.g for s in serial] == [s.g for s in threaded]
-        assert [s.mu for s in serial] == [s.mu for s in threaded]
-        assert [s.purities for s in serial] == [s.purities for s in threaded]
-
     @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_field(self, g):
         with pytest.raises(ValueError, match="finite"):

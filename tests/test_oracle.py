@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from xxring import analytic, oracle
+from xxring import analytic, oracle, verify
 from xxring.errors import SizeLimit
 from xxring.statevector import ground_state
 
@@ -58,7 +58,7 @@ def dense_projected_form(n_sites, g, alpha):
     Each mode number a_k+ a_k is a dense product of the Fourier sum
     a_k = N^-1/2 sum_j e^{-2 pi i (k+alpha) j/N} c_j of dense c_j.
     """
-    cs = [oracle.jw_annihilation(n_sites, j).astype(complex) for j in range(n_sites)]
+    cs = [kron_annihilation(n_sites, j).astype(complex) for j in range(n_sites)]
     eye = np.eye(1 << n_sites)
     form = np.zeros_like(eye, dtype=complex)
     for k in range(n_sites):
@@ -119,7 +119,7 @@ class TestJordanWignerBuild:
 
     def test_anticommutators(self):
         for n_sites in (3, 5):
-            cs = [oracle.jw_annihilation(n_sites, j) for j in range(n_sites)]
+            cs = [dense(oracle.Monomial.annihilation(n_sites, j)) for j in range(n_sites)]
             eye = np.eye(1 << n_sites)
             for i in range(n_sites):
                 for j in range(n_sites):
@@ -238,14 +238,14 @@ class TestSpectrumSymmetry:
 class TestSectorReassembly:
     @pytest.mark.parametrize("n_sites,g", [(4, 0.5), (5, -0.3)])
     def test_reassembles_hamiltonian(self, n_sites, g):
-        report = oracle.verify_sector_hamiltonians(n_sites, g)
-        assert report.reassembly_deviation <= 1e-11
-        assert report.spectrum_deviation <= 1e-11
+        reassembled = oracle.sector_reassembly(n_sites, g)
+        ham = oracle.build_spin_hamiltonian(n_sites, g)
+        assert np.abs(reassembled - ham).max() <= 1e-11
 
     @pytest.mark.parametrize("g", [0.7, -0.4, 0.5, -0.3])
     @pytest.mark.parametrize("n_sites", range(3, 7))
     def test_monomial_reassembly_equals_dense_mode_numbers(self, n_sites, g):
-        reassembled = oracle._sector_reassembly(n_sites, g)
+        reassembled = oracle.sector_reassembly(n_sites, g)
         parity = oracle.build_parity_operator(n_sites)
         forms = []
         for alpha, sector in ((0.0, 1.0), (0.5, -1.0)):
@@ -256,10 +256,10 @@ class TestSectorReassembly:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            oracle.verify_sector_hamiltonians(9, 0.1)
+            oracle.sector_reassembly(9, 0.1)
 
     def test_mismatch_reported(self, monkeypatch):
-        # Corrupt one matrix element of the reference build; the report must
+        # Corrupt one matrix element of the reference build; the audit must
         # name the deviating entry instead of passing silently.
         true_build = oracle.build_spin_hamiltonian
 
@@ -269,9 +269,10 @@ class TestSectorReassembly:
             return ham
 
         monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
-        report = oracle.verify_sector_hamiltonians(4, 0.5)
-        assert report.reassembly_deviation >= 0.5
-        assert report.entry == (0, 3)
+        result = verify.check_sector_reassembly(4, 0.5)
+        assert not result.passed
+        assert result.max_deviation >= 0.5
+        assert result.detail["entry"] == [0, 3]
 
 
 class TestMonomialOperators:
@@ -287,9 +288,10 @@ class TestMonomialOperators:
                 reference = kron_site_operator(op, site, n_sites)
                 monomial = oracle.Monomial.site(op, site, n_sites, flip=flip)
                 assert np.array_equal(dense(monomial), reference)
-                assert np.array_equal(oracle.site_operator(op, site, n_sites), reference)
+            diagonal = oracle.Monomial.site(general, site, n_sites)
+            off_diagonal = oracle.Monomial.site(general, site, n_sites, flip=True)
             assert np.array_equal(
-                oracle.site_operator(general, site, n_sites),
+                oracle.Monomial.dense_sum([diagonal, off_diagonal]),
                 kron_site_operator(general, site, n_sites),
             )
 
@@ -300,7 +302,6 @@ class TestMonomialOperators:
             c = oracle.Monomial.annihilation(n_sites, site)
             assert np.array_equal(dense(c), reference)
             assert np.array_equal(dense(c.T), reference.T)
-            assert np.array_equal(oracle.jw_annihilation(n_sites, site), reference)
 
     def test_algebra_matches_dense_matrices(self):
         n_sites = 4

@@ -76,29 +76,32 @@ ENTRY_POINTS = {
     "build_parity_operator": EntryPoint(
         lambda n, g: oracle.build_parity_operator(n), 3, False, "dense spin Hamiltonian"
     ),
-    "site_operator": EntryPoint(
-        lambda n, g: oracle.site_operator(oracle.SIGMA_Z, 0, n),
+    "Monomial.site": EntryPoint(
+        lambda n, g: oracle.Monomial.site(oracle.SIGMA_Z, 0, n),
         3,
         False,
         "dense spin Hamiltonian",
     ),
-    "jw_annihilation": EntryPoint(
-        lambda n, g: oracle.jw_annihilation(n, 0), 3, False, "dense spin Hamiltonian"
+    "Monomial.annihilation": EntryPoint(
+        lambda n, g: oracle.Monomial.annihilation(n, 0), 3, False, "dense spin Hamiltonian"
     ),
     "build_jw_hamiltonian": EntryPoint(
         oracle.build_jw_hamiltonian, 3, True, "fermion-operator build"
     ),
-    "verify_sector_hamiltonians": EntryPoint(
-        oracle.verify_sector_hamiltonians, 3, True, "sector reassembly audit"
+    "sector_reassembly": EntryPoint(
+        oracle.sector_reassembly, 3, True, "sector reassembly audit"
+    ),
+    "check_sector_reassembly": EntryPoint(
+        verify.check_sector_reassembly, 3, True, "sector reassembly audit"
     ),
     "run_verification": EntryPoint(
         lambda n, g: verify.run_verification(n), 3, False, "verification suite"
     ),
 }
 
-#: Entry points whose over-budget call would otherwise build dense operators
-#: (about 0.5 GB each at 13 sites) before a late check could refuse it.
-GUARDED = {"site_operator", "jw_annihilation", "run_verification"}
+#: Entry points that call other dense builds: the guard shows that their own
+#: size check refuses an over-budget call before any dense operator is built.
+GUARDED = {"check_sector_reassembly", "run_verification"}
 
 
 def _names(predicate):
@@ -146,9 +149,9 @@ class TestEntryPointTable:
     def test_operator_site_index_in_range(self):
         for bad in (-1, 4):
             with pytest.raises(ValueError):
-                oracle.site_operator(oracle.SIGMA_Z, bad, 4)
+                oracle.Monomial.site(oracle.SIGMA_Z, bad, 4)
             with pytest.raises(ValueError):
-                oracle.jw_annihilation(4, bad)
+                oracle.Monomial.annihilation(4, bad)
             with pytest.raises(ValueError):
                 analytic.single_particle_energy_density(4, bad, GOOD_FIELD)
             with pytest.raises(ValueError):

@@ -116,7 +116,15 @@ class TestChecks:
             verify.OVERLAP_TOLERANCE,
         ]
 
+    @pytest.mark.parametrize("n_sites,g", [(4, 0.5), (5, -0.3)])
+    def test_reassembly_check_passes(self, n_sites, g):
+        result = verify.check_sector_reassembly(n_sites, g)
+        assert result.passed
+        assert result.detail == {"sites": n_sites, "g": g}
+
     def test_reassembly_check_reports_mismatch(self, monkeypatch):
+        # Corrupt one symmetric pair of the reference build; the check must
+        # fail and name the deviating entry instead of passing silently.
         true_build = oracle.build_spin_hamiltonian
 
         def corrupted(n_sites, g):
@@ -127,7 +135,8 @@ class TestChecks:
         monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
         result = verify.check_sector_reassembly(4, 0.5)
         assert not result.passed
-        assert result.detail.get("entry") is not None
+        assert result.max_deviation >= 0.5
+        assert result.detail["entry"] == [1, 2]
 
 
 class TestGroundAgreementProperty:

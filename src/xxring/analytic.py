@@ -53,12 +53,11 @@ SINGULARITY_TOLERANCE = 1e-12
 #: fermion operators embedded in the full 2^N space.
 SIZE_LIMITS = {
     "state vector": 14,  # 256 KiB of complex amplitudes
-    "bipartition enumeration": 14,
-    "purity statistics": 12,
-    "dense spin Hamiltonian": 12,  # 4096 x 4096 dense matrices
-    "fermion-operator build": 10,  # multiplies ~2N dense operator pairs
-    "verification suite": 10,
-    "sector reassembly audit": 8,  # builds 2N mode-number operators
+    "bipartition enumeration": 14,  # the cuts of the largest state vector
+    "purity statistics": 12,  # C(N, N/2)/2 cuts per field, 462 at N = 12
+    "dense spin Hamiltonian": 12,  # 4096 x 4096 dense matrices, Pauli or JW build
+    "verification suite": 10,  # about 49 dense Hamiltonians, 8 MiB each at N = 10
+    "sector reassembly audit": 8,  # a dense complex 2^N sum; verify's N = 9 checks are pinned
 }
 
 
@@ -273,6 +272,16 @@ def ground_energy_density(n_sites: int, g: float) -> float:
     return min_energy_density(n_sites, _sector_count(n_sites, g), g)
 
 
+def _envelope(g: float, chi: float) -> float:
+    """The envelope formula at finite-size parameter chi (1 for the infinite chain)."""
+    u = g * chi
+    if abs(u) >= 1.0:
+        return -abs(g)
+    return g * (1.0 - 2.0 / math.pi * math.acos(-u)) - (
+        2.0 / math.pi
+    ) * math.sqrt(1.0 - u * u) / chi
+
+
 def envelope_energy(n_sites: int, g: float) -> float:
     """Lower envelope of the sector lines (continuous-filling minimum).
 
@@ -281,13 +290,7 @@ def envelope_energy(n_sites: int, g: float) -> float:
     """
     _validate_sites(n_sites, minimum=3)
     _validate_field(g)
-    chi = finite_size_parameter(n_sites)
-    u = g * chi
-    if abs(u) >= 1.0:
-        return -abs(g)
-    return g * (1.0 - 2.0 / math.pi * math.acos(-u)) - (
-        2.0 / math.pi
-    ) * math.sqrt(1.0 - u * u) / chi
+    return _envelope(g, finite_size_parameter(n_sites))
 
 
 def envelope_second_derivative(n_sites: int, g: float) -> float:
@@ -318,11 +321,7 @@ def thermodynamic_energy(g: float) -> float:
     with chi = 1.
     """
     _validate_field(g)
-    if abs(g) >= 1.0:
-        return -abs(g)
-    return g * (1.0 - 2.0 / math.pi * math.acos(-g)) - (
-        2.0 / math.pi
-    ) * math.sqrt(1.0 - g * g)
+    return _envelope(g, 1.0)
 
 
 def relative_error(n_sites: int) -> float:

@@ -178,7 +178,7 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
     g = args.g
     state = statevector.ground_state(n_sites, g)
     n = state.n
-    indices = [index for index in range(state.dimension) if index.bit_count() == n]
+    indices = [index for index in range(1 << n_sites) if index.bit_count() == n]
     sector = state.amplitudes[indices]
     triples = list(zip(indices, sector.real.tolist(), sector.imag.tolist()))
     params = {"sites": n_sites, "g": float(g)}
@@ -234,21 +234,14 @@ def _cmd_entanglement(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict  # here, as json is: the closed-form commands never load it
+
     n_sites = args.sites
     report = verify.run_verification(n_sites)
     payload = {
         "command": "verify",
         "params": {"sites": n_sites},
-        "checks": [
-            {
-                "name": check.name,
-                "passed": check.passed,
-                "max_deviation": check.max_deviation,
-                "tolerance": check.tolerance,
-                "detail": check.detail,
-            }
-            for check in report.checks
-        ],
+        "checks": [asdict(check) for check in report.checks],
         "passed": report.passed,
     }
     _write(_json_text(payload), args.output)
@@ -267,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, handler, grid, sites_list=False, workers=False, detail=False):
+    def add_common(
+        p, handler, grid, sites_list=False, workers=False, detail=False, formats=("csv", "json")
+    ):
         """Declare the handler, the grid kind (None, "single" or "sweep") and options."""
         p.set_defaults(handler=handler, grid_kind=grid)
         if sites_list:
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--g-min", type=float, help=f"grid start (default {_DEFAULT_G_MIN})")
             p.add_argument("--g-max", type=float, help=f"grid end (default {_DEFAULT_G_MAX})")
             p.add_argument("--steps", type=int, help=f"grid points (default {_DEFAULT_STEPS})")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--output", help="output path (default: stdout)")
         if workers:
             p.add_argument(
@@ -325,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, _cmd_entanglement, "sweep", sites_list=True, workers=True, detail=True)
 
     p = sub.add_parser("verify", help="run the dense-oracle cross-check suite (JSON report)")
-    add_common(p, _cmd_verify, None)
+    add_common(p, _cmd_verify, None, formats=("json",))
 
     return parser
 

@@ -12,10 +12,10 @@ diagonal scalings are gathers (the bit-operation form of A. W. Sandvik,
 arXiv:1101.3281, sec. 4.1).  The mode-number forms of the sector audit are
 sums of such monomial hoppings c_i+ c_j.  The parity operator is diagonal
 and is returned as its vector of +-1 entries.  Hamiltonians are dense, and
-every eigensolve splits the matrix into the connected blocks of its own
-nonzero pattern and solves each block on its own (H. Q. Lin, PRB 42, 6561
-(1990)); for the XX ring these blocks are the N + 1 fermion-number sectors,
-and only the block holding the ground level is solved for eigenvectors.
+both eigensolvers run one pass: it refuses a matrix that is not square,
+finite and Hermitian, and solves each connected block of its nonzero pattern
+on its own (H. Q. Lin, PRB 42, 6561 (1990)); for the XX ring these blocks are
+the N + 1 fermion-number sectors, and only the ground block gets eigenvectors.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     product; only their sum is made dense.  Must reproduce
     build_spin_hamiltonian entrywise.
     """
-    _validate_sites(n_sites, minimum=3, budget="fermion-operator build")
+    _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
     _validate_field(g)
     cs = [Monomial.annihilation(n_sites, j) for j in range(n_sites)]
     terms = []
@@ -188,15 +188,6 @@ def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
     minus_parity = -build_parity_operator(n_sites)
     terms += [(cs[-1] @ cs[0].T).scaled(minus_parity), (cs[0] @ cs[-1].T).scaled(minus_parity)]
     return Monomial.dense_sum(terms)
-
-
-def _square(matrix, dtype=None) -> np.ndarray:
-    """The input as an array, refused unless it is a non-empty square matrix."""
-    matrix = np.asarray(matrix, dtype=dtype)
-    shape = matrix.shape
-    if len(shape) != 2 or shape[0] != shape[1] or not matrix.size:
-        raise ValueError(f"need a non-empty square matrix, got shape {shape}")
-    return matrix
 
 
 def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
@@ -219,16 +210,38 @@ def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
+def _solve_blocks(matrix, dtype=None):
+    """The input checks, then one ``numpy.linalg.eigvalsh`` per block of ``_blocks``.
+
+    Returns the array, RESIDUAL_TOLERANCE times its Frobenius norm, the
+    (index, block) pairs and each block's ascending levels.
+    """
+    matrix = np.asarray(matrix, dtype=dtype)
+    shape = matrix.shape
+    if len(shape) != 2 or shape[0] != shape[1] or not matrix.size:
+        raise ValueError(f"need a non-empty square matrix, got shape {shape}")
+    bound = RESIDUAL_TOLERANCE * np.linalg.norm(matrix)
+    if not math.isfinite(bound):
+        raise ValueError(f"need finite entries with a finite Frobenius norm, got bound {bound}")
+    blocks = [(index, matrix[np.ix_(index, index)]) for index in _blocks(matrix)]
+    # A nonzero H[i, j] joins i and j in one block whichever of H[i, j] and
+    # H[j, i] it sits in, so |H - H^+| is summed over the blocks alone.
+    asymmetry = math.sqrt(sum(np.linalg.norm(block - block.conj().T) ** 2 for _, block in blocks))
+    if asymmetry > bound:
+        raise ValueError(f"matrix is not symmetric: |H - H^+| {asymmetry:.3e} exceeds {bound:.3e}")
+    try:
+        return matrix, bound, blocks, [np.linalg.eigvalsh(block) for _, block in blocks]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
+
+
 def eigvalsh(matrix) -> np.ndarray:
     """Every eigenvalue of a dense Hermitian matrix, ascending, solved block by block.
 
-    Each connected block of the nonzero pattern gets its own
-    ``numpy.linalg.eigvalsh``; the levels are merged and sorted.
+    The levels of all blocks are merged and sorted.  Bad input raises
+    ValueError as in ground_eigenpair, with Hermitian in place of symmetric.
     """
-    matrix = _square(matrix)
-    return np.sort(
-        np.concatenate([np.linalg.eigvalsh(matrix[np.ix_(i, i)]) for i in _blocks(matrix)])
-    )
+    return np.sort(np.concatenate(_solve_blocks(matrix)[3]))
 
 
 def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
@@ -239,23 +252,15 @@ def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
     holding the lowest level gets a ``numpy.linalg.eigh`` for the eigenpair
     (zero outside its block).  The two lowest levels over all blocks give
     the gap behind the degeneracy flag (infinite for a 1 x 1 matrix).
-    Input that is not a non-empty square matrix, or not symmetric within
-    RESIDUAL_TOLERANCE times its Frobenius norm, raises ValueError.  The
-    eigenpair is rejected with NoConvergence when its residual against the
-    whole matrix exceeds that same bound.
+    Input that is not a non-empty square matrix, has a non-finite entry, or
+    is not symmetric within RESIDUAL_TOLERANCE times its Frobenius norm
+    raises ValueError.  The eigenpair is rejected with NoConvergence when
+    its residual against the whole matrix exceeds that same bound.
     """
-    hamiltonian = _square(hamiltonian, dtype=float)
+    hamiltonian, bound, blocks, levels = _solve_blocks(hamiltonian, dtype=float)
     dim = hamiltonian.shape[0]
-    bound = RESIDUAL_TOLERANCE * np.linalg.norm(hamiltonian)
-    blocks = [(index, hamiltonian[np.ix_(index, index)]) for index in _blocks(hamiltonian)]
-    # A nonzero H[i, j] joins i and j in one block whichever of H[i, j] and
-    # H[j, i] it sits in, so |H - H^T| is summed over the blocks alone.
-    asymmetry = math.sqrt(sum(np.linalg.norm(block - block.T) ** 2 for _, block in blocks))
-    if asymmetry > bound:
-        raise ValueError(f"matrix is not symmetric: |H - H^T| {asymmetry:.3e} exceeds {bound:.3e}")
+    index, block = blocks[min(range(len(blocks)), key=lambda b: levels[b][0])]
     try:
-        levels = [np.linalg.eigvalsh(block) for _, block in blocks]
-        index, block = blocks[min(range(len(blocks)), key=lambda b: levels[b][0])]
         values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc

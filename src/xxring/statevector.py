@@ -39,10 +39,6 @@ class StateVector:
     n: int
     amplitudes: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return 1 << self.sites
-
 
 def _slater_amplitudes(n_sites: int, modes: ModeSet, positions: np.ndarray) -> np.ndarray:
     """Unnormalized amplitudes, one per row of sorted fermion positions."""

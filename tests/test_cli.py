@@ -343,6 +343,16 @@ class TestExitCodes:
         assert payload["passed"] is True
         validate_json(payload)
 
+    def test_verify_writes_json_only(self, tmp_path, capsys):
+        # The report is JSON; asking for CSV is a usage error, not a silent JSON.
+        assert cli.main(["verify", "--sites", "4", "--format", "csv"]) == cli.EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
+        default = run_cli(["verify", "--sites", "4"], tmp_path, "default.json")
+        explicit = run_cli(["verify", "--sites", "4", "--format", "json"], tmp_path, "json.json")
+        assert default[0] == cli.EXIT_OK
+        assert explicit == default
+        assert json.loads(default[1])["passed"] is True
+
     def test_verify_fails_on_corrupted_hamiltonian(self, tmp_path, monkeypatch, capsys):
         true_build = oracle.build_spin_hamiltonian
 

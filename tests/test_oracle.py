@@ -128,9 +128,15 @@ class TestJordanWignerBuild:
                     expected = eye if i == j else 0.0
                     assert np.abs(mixed - expected).max() <= 1e-13
 
+    def test_matches_pauli_build_above_the_verify_cap(self):
+        # The JW build shares the dense spin Hamiltonian's cap of 12.
+        jw = oracle.build_jw_hamiltonian(11, 0.3)
+        pauli = oracle.build_spin_hamiltonian(11, 0.3)
+        assert np.abs(jw - pauli).max() <= verify.JW_EQUALITY_TOLERANCE
+
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            oracle.build_jw_hamiltonian(11, 0.1)
+            oracle.build_jw_hamiltonian(13, 0.1)
 
 
 class TestParityOperator:
@@ -146,6 +152,20 @@ class TestParityOperator:
             ham = oracle.build_spin_hamiltonian(n_sites, g)
             parity = oracle.build_parity_operator(n_sites)
             assert np.abs(parity[:, None] * ham - ham * parity).max() <= 1e-13
+
+
+def with_both_solvers(argnames, cases, ids):
+    """Parametrize over ``solver`` and each case, for both eigensolvers.
+
+    They share one input contract.  The ground_eigenpair cases keep the bare
+    ids; the eigvalsh ones are prefixed.
+    """
+    params = [
+        pytest.param(solver, *case, id=prefix + case_id)
+        for solver, prefix in ((oracle.ground_eigenpair, ""), (oracle.eigvalsh, "eigvalsh-"))
+        for case, case_id in zip(cases, ids)
+    ]
+    return pytest.mark.parametrize(f"solver,{argnames}", params)
 
 
 class TestGroundEigenpair:
@@ -185,15 +205,15 @@ class TestGroundEigenpair:
         with pytest.raises(ValueError, match="non-empty square"):
             oracle.ground_eigenpair(matrix)
 
-    @pytest.mark.parametrize(
-        "matrix", [[[0.0, 1.0], [5.0, 0.0]], [[1.0, 7.0], [0.0, 2.0]]], ids=["skew", "triangular"]
+    @with_both_solvers(
+        "matrix", [([[0.0, 1.0], [5.0, 0.0]],), ([[1.0, 7.0], [0.0, 2.0]],)], ["skew", "triangular"]
     )
-    def test_rejects_asymmetric_input(self, matrix):
+    def test_rejects_asymmetric_input(self, solver, matrix):
         with pytest.raises(ValueError, match="not symmetric"):
-            oracle.ground_eigenpair(matrix)
+            solver(matrix)
 
-    @pytest.mark.parametrize("row,col", [(0, 5), (2, 7)], ids=["vacuum", "inner"])
-    def test_rejects_one_sided_entry_joining_two_sectors(self, row, col):
+    @with_both_solvers("row,col", [(0, 5), (2, 7)], ["vacuum", "inner"])
+    def test_rejects_one_sided_entry_joining_two_sectors(self, solver, row, col):
         # A single H[row, col] couples two fermion-number sectors of N = 3
         # (0 and 2, or 1 and 3): the asymmetry lies inside the block that
         # entry creates.
@@ -201,7 +221,22 @@ class TestGroundEigenpair:
         assert ham[row, col] == ham[col, row] == 0.0
         ham[row, col] = 0.3
         with pytest.raises(ValueError, match="not symmetric"):
-            oracle.ground_eigenpair(ham)
+            solver(ham)
+
+    @with_both_solvers(
+        "matrix",
+        [
+            ([[math.nan]],),
+            ([[math.inf]],),
+            ([[1.0, math.nan], [math.nan, 2.0]],),
+            ([[0.0, math.inf], [math.inf, 0.0]],),
+            ([[1.0, 0.0], [0.0, math.nan]],),
+        ],
+        ["nan", "inf", "nan-coupling", "inf-coupling", "nan-in-own-block"],
+    )
+    def test_rejects_non_finite_entries(self, solver, matrix):
+        with pytest.raises(ValueError, match="finite"):
+            solver(matrix)
 
     def test_one_by_one_matrix_has_infinite_gap(self):
         pair = oracle.ground_eigenpair([[-2.5]])
@@ -378,6 +413,11 @@ class TestBlockedSolve:
     def test_eigvalsh_rejects_non_square_input(self):
         with pytest.raises(ValueError, match="non-empty square"):
             oracle.eigvalsh(np.zeros((2, 3)))
+
+    def test_eigvalsh_rejects_complex_symmetric_input(self):
+        # Symmetric but not Hermitian: one triangle alone would give real levels.
+        with pytest.raises(ValueError, match="not symmetric"):
+            oracle.eigvalsh([[0.0, 1j], [1j, 0.0]])
 
 
 def check_sector_ground_states(n_sites, sectors):

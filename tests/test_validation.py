@@ -86,7 +86,7 @@ ENTRY_POINTS = {
         lambda n, g: oracle.Monomial.annihilation(n, 0), 3, False, "dense spin Hamiltonian"
     ),
     "build_jw_hamiltonian": EntryPoint(
-        oracle.build_jw_hamiltonian, 3, True, "fermion-operator build"
+        oracle.build_jw_hamiltonian, 3, True, "dense spin Hamiltonian"
     ),
     "sector_reassembly": EntryPoint(
         oracle.sector_reassembly, 3, True, "sector reassembly audit"
@@ -141,10 +141,13 @@ class TestEntryPointTable:
             "bipartition enumeration": 14,
             "purity statistics": 12,
             "dense spin Hamiltonian": 12,
-            "fermion-operator build": 10,
             "verification suite": 10,
             "sector reassembly audit": 8,
         }
+
+    def test_every_budget_guards_an_entry_point(self):
+        # A cap that no public entry point validates against is dead.
+        assert set(SIZE_LIMITS) == {e.budget for e in ENTRY_POINTS.values()} - {None}
 
     def test_operator_site_index_in_range(self):
         for bad in (-1, 4):

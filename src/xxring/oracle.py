@@ -11,11 +11,11 @@ multiplied as ``Monomial`` pairs of arrays, so products, transposes and
 diagonal scalings are gathers (the bit-operation form of A. W. Sandvik,
 arXiv:1101.3281, sec. 4.1).  The mode-number forms of the sector audit are
 sums of such monomial hoppings c_i+ c_j.  The parity operator is diagonal
-and is returned as its vector of +-1 entries.  Hamiltonians are dense, and
-both eigensolvers run one pass: it refuses a matrix that is not square,
-finite and Hermitian, and solves each connected block of its nonzero pattern
-on its own (H. Q. Lin, PRB 42, 6561 (1990)); for the XX ring these blocks are
-the N + 1 fermion-number sectors, and only the ground block gets eigenvectors.
+and is returned as its vector of +-1 entries.  Hamiltonians are dense.  The
+eigensolvers refuse a matrix that is not square, finite and Hermitian (real
+for the eigenpair) and solve each block of its nonzero pattern on its own
+(H. Q. Lin, PRB 42, 6561 (1990)): the XX ring's fermion-number sectors.  Only
+the ground block gets eigenvectors; a field sweep reuses one block solve.
 """
 
 from __future__ import annotations
@@ -210,27 +210,35 @@ def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _solve_blocks(matrix, dtype=None):
-    """The input checks, then one ``numpy.linalg.eigvalsh`` per block of ``_blocks``.
-
-    Returns the array, RESIDUAL_TOLERANCE times its Frobenius norm, the
-    (index, block) pairs and each block's ascending levels.
-    """
-    matrix = np.asarray(matrix, dtype=dtype)
+def _checked(matrix, real=False):
+    """Shape, (with ``real``) real-entry and finiteness checks: the array, its residual bound."""
+    matrix = np.asarray(matrix)
     shape = matrix.shape
     if len(shape) != 2 or shape[0] != shape[1] or not matrix.size:
         raise ValueError(f"need a non-empty square matrix, got shape {shape}")
+    if real and np.iscomplexobj(matrix):
+        raise ValueError(f"ground_eigenpair needs a real symmetric matrix, got {matrix.dtype}")
+    matrix = np.asarray(matrix, dtype=float if real else None)
     bound = RESIDUAL_TOLERANCE * np.linalg.norm(matrix)
     if not math.isfinite(bound):
         raise ValueError(f"need finite entries with a finite Frobenius norm, got bound {bound}")
+    return matrix, bound
+
+
+def _check_symmetry(asymmetry, bound):
+    if asymmetry > bound:
+        raise ValueError(f"matrix is not symmetric: |H - H^+| {asymmetry:.3e} exceeds {bound:.3e}")
+
+
+def _solve_blocks(matrix, bound):
+    """Symmetry check, then one eigvalsh per block: (index, block) pairs, |H - H^+|, levels."""
     blocks = [(index, matrix[np.ix_(index, index)]) for index in _blocks(matrix)]
     # A nonzero H[i, j] joins i and j in one block whichever of H[i, j] and
     # H[j, i] it sits in, so |H - H^+| is summed over the blocks alone.
     asymmetry = math.sqrt(sum(np.linalg.norm(block - block.conj().T) ** 2 for _, block in blocks))
-    if asymmetry > bound:
-        raise ValueError(f"matrix is not symmetric: |H - H^+| {asymmetry:.3e} exceeds {bound:.3e}")
+    _check_symmetry(asymmetry, bound)
     try:
-        return matrix, bound, blocks, [np.linalg.eigvalsh(block) for _, block in blocks]
+        return blocks, asymmetry, [np.linalg.eigvalsh(block) for _, block in blocks]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
 
@@ -239,45 +247,76 @@ def eigvalsh(matrix) -> np.ndarray:
     """Every eigenvalue of a dense Hermitian matrix, ascending, solved block by block.
 
     The levels of all blocks are merged and sorted.  Bad input raises
-    ValueError as in ground_eigenpair, with Hermitian in place of symmetric.
+    ValueError as in ground_eigenpair, with Hermitian in place of real symmetric.
     """
-    return np.sort(np.concatenate(_solve_blocks(matrix)[3]))
+    return np.sort(np.concatenate(_solve_blocks(*_checked(matrix))[2]))
+
+
+def ground_eigenpairs(hamiltonians):
+    """Yield ground_eigenpair of each matrix in turn, reusing one block solve across shifts.
+
+    A matrix is a shift of the last one solved (the reference) when it has
+    the same size and off-diagonal nonzeros (flat index and value), and its
+    diagonal differs by a constant on each reference block, as a change of
+    field does on the XX ring.  Its levels are the reference levels plus each
+    block's constant; each ground block gets one ``eigh``, kept with the
+    reference.  Any other matrix is solved afresh and becomes the reference.
+    Every matrix gets the input and residual checks against itself.  No dense
+    matrix is kept, and matrix k + 1 is pulled after result k is yielded.
+    """
+    reference = None
+    for hamiltonian in hamiltonians:
+        matrix, bound = _checked(hamiltonian, real=True)
+        dim = len(matrix)
+        flat = np.flatnonzero(matrix)
+        flat = flat[flat % (dim + 1) != 0]
+        pattern, shifts = (dim, flat, matrix.ravel()[flat]), None
+        if reference is not None and all(map(np.array_equal, pattern, reference)):
+            delta = [matrix.diagonal()[index] - block.diagonal() for index, block in blocks]
+            if all((d == d[0]).all() for d in delta):
+                shifts = [d[0] for d in delta]
+        if shifts is None:
+            blocks, asymmetry, shifted = _solve_blocks(matrix, bound)
+            reference, levels, eighs = pattern, shifted, {}
+        else:
+            _check_symmetry(asymmetry, bound)
+            shifted = [block_levels[:2] + s for block_levels, s in zip(levels, shifts)]
+        ground = min(range(len(blocks)), key=lambda b: shifted[b][0])
+        if ground not in eighs:
+            try:
+                eighs[ground] = np.linalg.eigh(blocks[ground][1])
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+                raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
+        values, vectors = eighs[ground]
+        energy = float(values[0] if shifts is None else values[0] + shifts[ground])
+        vector = np.zeros(dim)
+        vector[blocks[ground][0]] = vectors[:, 0]
+        lowest = np.sort(np.concatenate([block_levels[:2] for block_levels in shifted]))
+        gap = float(lowest[1] - lowest[0]) if dim > 1 else math.inf
+        residual = np.linalg.norm(matrix @ vector - energy * vector)
+        if residual > bound:
+            raise NoConvergence(
+                f"eigenpair residual {residual:.3e} exceeds {bound:.3e} "
+                f"(dimension {dim}, energy {energy:.6g})"
+            )
+        yield GroundEigenpair(energy, vector, gap < DEGENERACY_GAP, gap)
+        del hamiltonian, matrix
 
 
 def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
-    """Lowest eigenpair of a dense symmetric matrix, solved block by block.
+    """Lowest eigenpair of a dense real symmetric matrix: ground_eigenpairs of one matrix.
 
     The blocks are the connected components of the matrix's own nonzero
     pattern; each gets a ``numpy.linalg.eigvalsh``, and only the block
     holding the lowest level gets a ``numpy.linalg.eigh`` for the eigenpair
     (zero outside its block).  The two lowest levels over all blocks give
-    the gap behind the degeneracy flag (infinite for a 1 x 1 matrix).
-    Input that is not a non-empty square matrix, has a non-finite entry, or
-    is not symmetric within RESIDUAL_TOLERANCE times its Frobenius norm
-    raises ValueError.  The eigenpair is rejected with NoConvergence when
-    its residual against the whole matrix exceeds that same bound.
+    the gap behind the degeneracy flag (infinite for a 1 x 1 matrix).  Input
+    that is not a non-empty square real matrix, has a non-finite entry, or is
+    not symmetric within RESIDUAL_TOLERANCE times its Frobenius norm raises
+    ValueError.  The eigenpair is rejected with NoConvergence when its
+    residual against the whole matrix exceeds that same bound.
     """
-    hamiltonian, bound, blocks, levels = _solve_blocks(hamiltonian, dtype=float)
-    dim = hamiltonian.shape[0]
-    index, block = blocks[min(range(len(blocks)), key=lambda b: levels[b][0])]
-    try:
-        values, vectors = np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
-    energy = float(values[0])
-    vector = np.zeros(dim)
-    vector[index] = vectors[:, 0]
-    lowest = np.sort(np.concatenate([block_levels[:2] for block_levels in levels]))
-    gap = float(lowest[1] - lowest[0]) if dim > 1 else math.inf
-    residual = np.linalg.norm(hamiltonian @ vector - energy * vector)
-    if residual > bound:
-        raise NoConvergence(
-            f"eigenpair residual {residual:.3e} exceeds {bound:.3e} "
-            f"(dimension {dim}, energy {energy:.6g})"
-        )
-    return GroundEigenpair(
-        energy=energy, vector=vector, degenerate=gap < DEGENERACY_GAP, gap=gap
-    )
+    return next(ground_eigenpairs([hamiltonian]))
 
 
 def sector_reassembly(n_sites: int, g: float) -> np.ndarray:

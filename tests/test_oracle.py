@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -238,6 +240,18 @@ class TestGroundEigenpair:
         with pytest.raises(ValueError, match="finite"):
             solver(matrix)
 
+    @pytest.mark.parametrize(
+        "matrix", [np.array([[0, 1j], [-1j, 0]]), [[0, 1j], [-1j, 0]]], ids=["ndarray", "list"]
+    )
+    def test_rejects_complex_input_before_any_cast(self, matrix):
+        # Hermitian, with levels -1 and 1: a cast to float would drop the
+        # imaginary part and report a degenerate level 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs a real symmetric matrix"):
+                oracle.ground_eigenpair(matrix)
+        assert oracle.eigvalsh(matrix).tolist() == [-1.0, 1.0]
+
     def test_one_by_one_matrix_has_infinite_gap(self):
         pair = oracle.ground_eigenpair([[-2.5]])
         assert pair.energy == -2.5
@@ -418,6 +432,95 @@ class TestBlockedSolve:
         # Symmetric but not Hermitian: one triangle alone would give real levels.
         with pytest.raises(ValueError, match="not symmetric"):
             oracle.eigvalsh([[0.0, 1j], [1j, 0.0]])
+
+
+class TestGroundEigenpairStream:
+    @pytest.mark.parametrize("n_sites", range(3, 11))
+    def test_matches_one_solve_per_field(self, n_sites):
+        # The shifted levels against the plain path at every field.
+        grid = verify.default_field_grid(n_sites)
+        if n_sites == 10:
+            grid = grid[::19]
+            assert len(grid) == 3
+        hams = [oracle.build_spin_hamiltonian(n_sites, g) for g in grid]
+        for ham, pair in zip(hams, oracle.ground_eigenpairs(iter(hams)), strict=True):
+            plain = oracle.ground_eigenpair(ham)
+            assert abs(pair.energy - plain.energy) <= 1e-12
+            assert abs(pair.gap - plain.gap) <= 1e-12
+            assert pair.degenerate == plain.degenerate
+            if not plain.degenerate:
+                assert abs(np.vdot(pair.vector, plain.vector)) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("change", ["hopping", "diagonal", "size"])
+    def test_a_matrix_that_is_no_shift_is_solved_afresh(self, change, monkeypatch):
+        first = oracle.build_spin_hamiltonian(5, 0.3)
+        second = oracle.build_spin_hamiltonian(5, -0.6)
+        if change == "hopping":
+            second[1, 2] = second[2, 1] = -1.5
+        elif change == "diagonal":
+            second[3, 3] += 0.25  # state 3 shares its two-fermion block with others
+        else:
+            second = oracle.build_spin_hamiltonian(6, -0.6)
+        true_eigvalsh = np.linalg.eigvalsh
+        solved = []
+
+        def counting(block):
+            solved.append(block.shape[0])
+            return true_eigvalsh(block)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stream = oracle.ground_eigenpairs([first, second])
+        next(stream)
+        del solved[:]
+        pair = next(stream)
+        assert sum(solved) == len(second)
+        monkeypatch.undo()
+        plain = oracle.ground_eigenpair(second)
+        assert (pair.energy, pair.gap, pair.degenerate) == (
+            plain.energy,
+            plain.gap,
+            plain.degenerate,
+        )
+        assert np.array_equal(pair.vector, plain.vector)
+
+    def test_a_shift_solves_no_block(self, monkeypatch):
+        stream = oracle.ground_eigenpairs(
+            oracle.build_spin_hamiltonian(5, g) for g in (0.3, -0.6, 1.2)
+        )
+        next(stream)
+
+        def refuse(block):
+            raise AssertionError("a shifted matrix was solved again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert [pair.energy < 0 for pair in stream] == [True, True]
+
+    def test_pulls_each_matrix_after_the_last_result(self):
+        # Matrix k + 1 is built only once result k is out, and by then no
+        # reference to matrix k is left.
+        events, made = [], []
+
+        def source():
+            for k, g in enumerate((0.3, -0.6, 1.2)):
+                assert not made or made[-1]() is None, "an earlier matrix is still held"
+                events.append(("pull", k))
+                ham = oracle.build_spin_hamiltonian(5, g)
+                made.append(weakref.ref(ham))
+                yield ham
+                del ham
+
+        for k, _ in enumerate(oracle.ground_eigenpairs(source())):
+            events.append(("yield", k))
+        assert events == [(step, k) for k in range(3) for step in ("pull", "yield")]
+
+    def test_every_matrix_gets_the_input_checks(self):
+        ham = oracle.build_spin_hamiltonian(4, 0.3)
+        bad = oracle.build_spin_hamiltonian(4, -0.6)
+        bad[0, 0] = math.nan
+        stream = oracle.ground_eigenpairs([ham, bad])
+        next(stream)
+        with pytest.raises(ValueError, match="finite"):
+            next(stream)
 
 
 def check_sector_ground_states(n_sites, sectors):

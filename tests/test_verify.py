@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -98,23 +99,48 @@ class TestChecks:
         assert not overlap.passed
         assert overlap.max_deviation > 1e-4
 
-    def test_ground_agreement_solves_each_field_once(self, monkeypatch):
-        true_solve = oracle.ground_eigenpair
-        solved = []
+    def test_ground_agreement_solves_each_block_once(self, monkeypatch):
+        # The field only shifts each fermion-number block, so the grid's six
+        # blocks get one eigvalsh each, and each block that is the ground
+        # somewhere on the grid gets one eigh.
+        calls = {"eigvalsh": [], "eigh": []}
+        for name, calls_of in calls.items():
+            def counting(block, true_solve=getattr(np.linalg, name), calls_of=calls_of):
+                calls_of.append(block.shape[0])
+                return true_solve(block)
 
-        def counting(hamiltonian):
-            solved.append(hamiltonian.shape[0])
-            return true_solve(hamiltonian)
-
-        monkeypatch.setattr(oracle, "ground_eigenpair", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         grid = verify.default_field_grid(5)
         results = verify.check_ground_agreement(5)
-        assert len(solved) == len(grid)
+        assert sorted(calls["eigvalsh"]) == sorted(math.comb(5, n) for n in range(6))
+        ground_sectors = {analytic.ground_sector(5, g) for g in grid}
+        assert sorted(calls["eigh"]) == sorted(math.comb(5, n) for n in ground_sectors)
+        assert len(ground_sectors) == 6
         assert [r.detail for r in results] == [{"sites": 5, "points": len(grid)}] * 2
         assert [r.tolerance for r in results] == [
             verify.ENERGY_TOLERANCE,
             verify.OVERLAP_TOLERANCE,
         ]
+
+    def test_energy_check_catches_a_flipped_hopping_at_one_field(self, monkeypatch):
+        # Corrupting a single grid field's H must fail the check although the
+        # other fields reuse one block solve: the corrupted matrix is no shift
+        # of the reference, so it is solved on its own.
+        true_build = oracle.build_spin_hamiltonian
+        grid = verify.default_field_grid(4)
+        corrupted_g = next(g for g in grid if analytic.ground_sector(4, g) == 1)
+
+        def corrupted(n_sites, g):
+            ham = true_build(n_sites, g)
+            if g == corrupted_g:
+                ham[1, 2] = ham[2, 1] = +1.0  # one-fermion hop from site 0 to site 1
+            return ham
+
+        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        energy, _ = verify.check_ground_agreement(4)
+        assert not energy.passed
+        assert energy.max_deviation > 1e-3
+        assert verify.check_ground_agreement(4, [g for g in grid if g != corrupted_g])[0].passed
 
     @pytest.mark.parametrize("n_sites,g", [(4, 0.5), (5, -0.3)])
     def test_reassembly_check_passes(self, n_sites, g):

@@ -120,6 +120,7 @@ def field_grid(g_min: float, g_max: float, steps: int) -> list[float]:
     denormal span), and the last point is g_max itself.  Raises ValueError
     for fewer than 2 steps and for a span g_max - g_min that overflows.
     """
+    _require_integer(steps, "number of grid steps")
     if steps < 2:
         raise ValueError(f"a field grid needs at least 2 steps, got {steps}")
     start, stop = float(g_min), float(g_max)

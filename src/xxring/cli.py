@@ -67,15 +67,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _table_payload(command, params, columns, rows, metadata) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "metadata": metadata or {},
-        "rows": [dict(zip(columns, row)) for row in rows],
-    }
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -87,11 +78,14 @@ def _write(text: str, path: str | None) -> None:
 def _emit_table(args: argparse.Namespace, params, columns, rows, metadata=None) -> None:
     if args.format == "csv":
         _write(_csv_text(columns, rows, metadata), args.output)
-    else:
-        _write(
-            _json_text(_table_payload(args.command, params, columns, rows, metadata)),
-            args.output,
-        )
+        return
+    payload = {
+        "command": args.command,
+        "params": params,
+        "metadata": metadata or {},
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }
+    _write(_json_text(payload), args.output)
 
 
 def _grid_params(args: argparse.Namespace) -> dict:
@@ -196,15 +190,10 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
 
 
 def _cmd_entanglement(args: argparse.Namespace) -> int:
-    if args.workers > 1:
-        print(
-            f"note: --workers {args.workers} is ignored; sweeps run serially",
-            file=sys.stderr,
-        )
     params = {
         "sites": list(args.sites),
         **_grid_params(args),
-        "workers": args.workers,
+        "workers": 1,  # held by perfbench/golden.json "states" and test_golden.py's N = 11 pins
         "detail": args.detail,
     }
     columns = ("n_sites", "g", "n", "mu", "sigma")
@@ -260,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p, handler, grid, sites_list=False, workers=False, detail=False, formats=("csv", "json")
-    ):
+    def add_common(p, handler, grid, sites_list=False, detail=False, formats=("csv", "json")):
         """Declare the handler, the grid kind (None, "single" or "sweep") and options."""
         p.set_defaults(handler=handler, grid_kind=grid)
         if sites_list:
@@ -282,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, help=f"grid points (default {_DEFAULT_STEPS})")
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--output", help="output path (default: stdout)")
-        if workers:
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="accepted for compatibility and echoed in JSON params; "
-                "sweeps always run serially",
-            )
         if detail:
             p.add_argument("--detail", action="store_true", help="emit per-item detail rows")
 
@@ -317,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, _cmd_ground_state, "single")
 
     p = sub.add_parser("entanglement", help="balanced-bipartition purity statistics")
-    add_common(p, _cmd_entanglement, "sweep", sites_list=True, workers=True, detail=True)
+    add_common(p, _cmd_entanglement, "sweep", sites_list=True, detail=True)
 
     p = sub.add_parser("verify", help="run the dense-oracle cross-check suite (JSON report)")
     add_common(p, _cmd_verify, None, formats=("json",))
@@ -352,14 +331,12 @@ def _resolve_grid(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     g_min = args.g_min if args.g_min is not None else _DEFAULT_G_MIN
     g_max = args.g_max if args.g_max is not None else _DEFAULT_G_MAX
     steps = args.steps if args.steps is not None else _DEFAULT_STEPS
-    if steps < 2:
-        parser.error(f"--steps must be at least 2, got {steps}")
     if not g_min < g_max:
         parser.error(f"--g-min must be below --g-max, got [{g_min}, {g_max}]")
     try:
         return tuple(analytic.field_grid(g_min, g_max, steps))
     except ValueError as exc:
-        parser.error(f"--g-min/--g-max: {exc}")
+        parser.error(f"--g-min/--g-max/--steps: {exc}")
 
 
 def main(argv=None) -> int:
@@ -367,8 +344,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.grid = _resolve_grid(parser, args)
-        if getattr(args, "workers", 1) < 1:
-            parser.error(f"--workers must be at least 1, got {args.workers}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analytic import (
     _crossing_fields,
+    _require_integer,
     _validate_field,
     _validate_sites,
     field_grid,
@@ -49,6 +50,8 @@ class Bipartition:
     axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _validate_sites(self.sites, minimum=3, budget="bipartition enumeration")
+        _require_integer(self.mask, "mask")
         if not 0 < self.mask < (1 << self.sites):
             raise ValueError(f"mask {self.mask:#x} does not fit {self.sites} sites")
         size = self.mask.bit_count()

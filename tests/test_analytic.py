@@ -439,3 +439,8 @@ class TestFieldGrid:
     def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="at least 2 steps"):
             analytic.field_grid(-1.0, 1.0, steps)
+
+    @pytest.mark.parametrize("steps", [True, 3.0, 2.5])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(TypeError, match="grid steps"):
+            analytic.field_grid(-1.0, 1.0, steps)

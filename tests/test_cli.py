@@ -46,28 +46,12 @@ class TestDeterminism:
         assert code_a == code_b == 0
         assert first == second
 
-    def test_identical_bytes_across_worker_counts(self, tmp_path):
-        base = [
-            "entanglement", "--sites", "6", "--g-min", "-1.4", "--g-max", "1.4",
-            "--steps", "15", "--detail",
-        ]
-        code_a, serial = run_cli(base + ["--workers", "1"], tmp_path, "w1.csv")
-        code_b, threaded = run_cli(base + ["--workers", "3"], tmp_path, "w3.csv")
-        assert code_a == code_b == 0
-        assert serial == threaded
-        # workers is echoed in JSON params, so compare CSV bodies only
-
-    def test_workers_above_one_notes_serial_run_on_stderr(self, capsys):
-        base = ["entanglement", "--sites", "5", "--steps", "7", "--format", "json"]
-        assert cli.main(base) == 0
-        serial = capsys.readouterr()
-        assert serial.err == ""
-        assert cli.main(base + ["--workers", "2"]) == 0
-        noted = capsys.readouterr()
-        assert noted.err.count("\n") == 1 and "serially" in noted.err
-        payload = json.loads(noted.out)
-        assert payload["params"]["workers"] == 2
-        assert payload["rows"] == json.loads(serial.out)["rows"]
+    def test_entanglement_json_echoes_one_worker_and_writes_no_stderr(self, capsys):
+        args = ["entanglement", "--sites", "5", "--steps", "7", "--format", "json"]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["params"]["workers"] == 1
 
     def test_lf_line_endings_and_header(self, tmp_path):
         _, data = run_cli(["critical-points", "--sites", "6"], tmp_path, "c.csv")
@@ -319,6 +303,8 @@ class TestExitCodes:
             ["spectrum", "--sites", "7", "--single-particle", "--modes"],
             # Finite ends whose span overflows.
             ["spectrum", "--sites", "5", "--g-min=-1e308", "--g-max=1e308", "--steps", "3"],
+            # There is no --workers option: any value is a usage error.
+            ["entanglement", "--sites", "5", "--g", "0.1", "--workers", "2"],
         ],
     )
     def test_usage_errors_before_any_work(self, args, capsys):
@@ -384,7 +370,7 @@ SUBCOMMAND_OPTIONS = {
     "ground-state": ["-h", "--help", "--sites", "--g", "--format", "--output"],
     "entanglement": [
         "-h", "--help", "--sites", "--g", "--g-min", "--g-max", "--steps",
-        "--format", "--output", "--workers", "--detail",
+        "--format", "--output", "--detail",
     ],
     "verify": ["-h", "--help", "--sites", "--format", "--output"],
 }

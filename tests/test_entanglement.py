@@ -116,6 +116,10 @@ class TestBalancedBipartitions:
         with pytest.raises(ValueError):
             Bipartition(sites=6, mask=0b1)
 
+    def test_bool_mask_rejected(self):
+        with pytest.raises(TypeError):
+            Bipartition(3, True)
+
     def test_each_call_returns_a_fresh_list(self):
         first = entanglement.balanced_bipartitions(6)
         expected = [Bipartition(6, part.mask) for part in first]

@@ -63,6 +63,9 @@ ENTRY_POINTS = {
     "balanced_bipartitions": EntryPoint(
         lambda n, g: entanglement.balanced_bipartitions(n), 3, False, "bipartition enumeration"
     ),
+    "Bipartition": EntryPoint(
+        lambda n, g: entanglement.Bipartition(n, 1), 3, False, "bipartition enumeration"
+    ),
     "purity_stats": EntryPoint(entanglement.purity_stats, 3, True, "purity statistics"),
     "entanglement_sweep": EntryPoint(
         lambda n, g: entanglement.entanglement_sweep(n, g, 2.0, 3),

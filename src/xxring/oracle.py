@@ -258,26 +258,34 @@ def ground_eigenpairs(hamiltonians):
     A matrix is a shift of the last one solved (the reference) when it has
     the same size and off-diagonal nonzeros (flat index and value), and its
     diagonal differs by a constant on each reference block, as a change of
-    field does on the XX ring.  Its levels are the reference levels plus each
-    block's constant; each ground block gets one ``eigh``, kept with the
+    field does on the XX ring.  Only the reference's nonzeros are listed by
+    index; a later matrix is matched by its off-diagonal nonzero count and
+    its values at those indices.  Its levels are the reference levels plus
+    each block's constant; each ground block gets one ``eigh``, kept with the
     reference.  Any other matrix is solved afresh and becomes the reference.
     Every matrix gets the input and residual checks against itself.  No dense
     matrix is kept, and matrix k + 1 is pulled after result k is yielded.
     """
-    reference = None
+    ref_dim = 0  # no reference yet; every matrix has at least one row
     for hamiltonian in hamiltonians:
         matrix, bound = _checked(hamiltonian, real=True)
-        dim = len(matrix)
-        flat = np.flatnonzero(matrix)
-        flat = flat[flat % (dim + 1) != 0]
-        pattern, shifts = (dim, flat, matrix.ravel()[flat]), None
-        if reference is not None and all(map(np.array_equal, pattern, reference)):
+        dim, shifts = len(matrix), None
+        # The reference's off-diagonal values are nonzero (and the entries
+        # finite), so equal values at its indices plus an equal off-diagonal
+        # count is exactly the same pattern, found without an index scan.
+        if (
+            dim == ref_dim
+            and np.count_nonzero(matrix) - np.count_nonzero(matrix.diagonal()) == ref_flat.size
+            and np.array_equal(matrix.ravel()[ref_flat], ref_values)
+        ):
             delta = [matrix.diagonal()[index] - block.diagonal() for index, block in blocks]
             if all((d == d[0]).all() for d in delta):
                 shifts = [d[0] for d in delta]
         if shifts is None:
             blocks, asymmetry, shifted = _solve_blocks(matrix, bound)
-            reference, levels, eighs = pattern, shifted, {}
+            ref_flat = np.flatnonzero(matrix)
+            ref_flat = ref_flat[ref_flat % (dim + 1) != 0]
+            ref_dim, ref_values, levels, eighs = dim, matrix.ravel()[ref_flat], shifted, {}
         else:
             _check_symmetry(asymmetry, bound)
             shifted = [block_levels[:2] + s for block_levels, s in zip(levels, shifts)]

@@ -451,12 +451,22 @@ class TestGroundEigenpairStream:
             if not plain.degenerate:
                 assert abs(np.vdot(pair.vector, plain.vector)) >= 1.0 - 1e-12
 
-    @pytest.mark.parametrize("change", ["hopping", "diagonal", "size"])
+    @pytest.mark.parametrize("change", ["hopping", "extra", "moved", "diagonal", "size"])
     def test_a_matrix_that_is_no_shift_is_solved_afresh(self, change, monkeypatch):
         first = oracle.build_spin_hamiltonian(5, 0.3)
         second = oracle.build_spin_hamiltonian(5, -0.6)
         if change == "hopping":
             second[1, 2] = second[2, 1] = -1.5
+        elif change == "extra":
+            # States 3 and 12 (sites {0, 1} and {2, 3}) share the two-fermion
+            # block but no hop: every reference value is kept, only the
+            # off-diagonal count grows.
+            second[3, 12] = second[12, 3] = -1.0
+        elif change == "moved":
+            # One hop dropped and another added: the count is unchanged, and
+            # only the values at the reference's indices differ.
+            second[1, 2] = second[2, 1] = 0.0
+            second[3, 12] = second[12, 3] = -1.0
         elif change == "diagonal":
             second[3, 3] += 0.25  # state 3 shares its two-fermion block with others
         else:
@@ -495,6 +505,26 @@ class TestGroundEigenpairStream:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert [pair.energy < 0 for pair in stream] == [True, True]
 
+    def test_a_shift_lists_no_nonzeros(self, monkeypatch):
+        # Only a solved matrix has its nonzeros listed by index; a shift is
+        # matched by its off-diagonal count and the values at those indices.
+        true_flatnonzero = np.flatnonzero
+        scans = []
+
+        def counting(array):
+            scans.append(np.shape(array))
+            return true_flatnonzero(array)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        stream = oracle.ground_eigenpairs(
+            oracle.build_spin_hamiltonian(5, g) for g in (0.3, -0.6, 1.2)
+        )
+        next(stream)
+        assert scans
+        del scans[:]
+        assert len(list(stream)) == 2
+        assert scans == []
+
     def test_pulls_each_matrix_after_the_last_result(self):
         # Matrix k + 1 is built only once result k is out, and by then no
         # reference to matrix k is left.
@@ -521,6 +551,27 @@ class TestGroundEigenpairStream:
         next(stream)
         with pytest.raises(ValueError, match="finite"):
             next(stream)
+
+
+class TestFullSpectrum:
+    @pytest.mark.parametrize("n_sites", range(3, 11))
+    def test_every_block_level_is_a_sum_of_mode_energies(self, n_sites):
+        # The n-fermion levels are g (N - 2n) + 2 sum_{k in K} cos(2 pi (k + alpha)/N)
+        # over every n-subset K of the modes, alpha = alpha_for_sector(N, n).
+        fermions = np.array([bin(b).count("1") for b in range(1 << n_sites)])
+        for g in (0.7, -0.4, 0.0, 1.3):
+            matrix, bound = oracle._checked(oracle.build_spin_hamiltonian(n_sites, g))
+            blocks, _, levels = oracle._solve_blocks(matrix, bound)
+            assert len(blocks) == n_sites + 1
+            for n, ((index, _), block_levels) in enumerate(zip(blocks, levels)):
+                assert np.array_equal(index, np.flatnonzero(fermions == n))
+                alpha = analytic.alpha_for_sector(n_sites, n)
+                cosines = [analytic.mode_cosine(n_sites, alpha, k) for k in range(n_sites)]
+                closed_form = np.sort([
+                    g * (n_sites - 2 * n) + 2.0 * sum(cosines[k] for k in modes)
+                    for modes in itertools.combinations(range(n_sites), n)
+                ])
+                assert np.abs(block_levels - closed_form).max() <= 1e-12, (n_sites, g, n)
 
 
 def check_sector_ground_states(n_sites, sectors):

@@ -122,6 +122,42 @@ class TestChecks:
             verify.OVERLAP_TOLERANCE,
         ]
 
+    def test_ground_agreement_builds_each_sector_state_once(self, monkeypatch):
+        # The analytic state depends on g only through its sector, and the
+        # default grid ascends, so its six sectors give six builds, not 40.
+        true_state = verify.ground_state
+        built = []
+
+        def counting(n_sites, g):
+            built.append(analytic.ground_sector(n_sites, g))
+            return true_state(n_sites, g)
+
+        monkeypatch.setattr(verify, "ground_state", counting)
+        grid = verify.default_field_grid(5)
+        assert len(grid) == 40
+        assert all(result.passed for result in verify.check_ground_agreement(5))
+        assert built == sorted(set(built)) == list(range(6))
+
+    @pytest.mark.parametrize("order", ["reversed", "interleaved"])
+    def test_ground_agreement_pairs_each_field_with_its_own_sector(self, order):
+        # On a grid that leaves and re-enters sectors, the deviations must be
+        # bit-equal to those of a state built afresh at every field.
+        grid = verify.default_field_grid(5)
+        if order == "reversed":
+            grid = grid[::-1]
+        else:
+            grid = [g for pair in zip(grid[:20], grid[:19:-1]) for g in pair]
+        assert len(set(grid)) == 40
+        hams = (oracle.build_spin_hamiltonian(5, g) for g in grid)
+        energy = overlap = 0.0
+        for g, pair in zip(grid, oracle.ground_eigenpairs(hams)):
+            energy = max(energy, abs(5 * analytic.ground_energy_density(5, g) - pair.energy))
+            state = verify.ground_state(5, g)
+            overlap = max(overlap, 1.0 - abs(np.vdot(state.amplitudes, pair.vector)))
+        results = verify.check_ground_agreement(5, grid)
+        assert [r.max_deviation for r in results] == [energy, overlap]
+        assert all(r.passed for r in results)
+
     def test_energy_check_catches_a_flipped_hopping_at_one_field(self, monkeypatch):
         # Corrupting a single grid field's H must fail the check although the
         # other fields reuse one block solve: the corrupted matrix is no shift

@@ -56,7 +56,7 @@ SIZE_LIMITS = {
     "bipartition enumeration": 14,  # the cuts of the largest state vector
     "purity statistics": 12,  # C(N, N/2)/2 cuts per field, 462 at N = 12
     "dense spin Hamiltonian": 12,  # 4096 x 4096 dense matrices, Pauli or JW build
-    "verification suite": 10,  # about 49 dense Hamiltonians, 8 MiB each at N = 10
+    "verification suite": 10,  # term checks; 2 N^2 2^N stacked operator pairs, 204,800 at N = 10
     "sector reassembly audit": 8,  # a dense complex 2^N sum; verify's N = 9 checks are pinned
 }
 

@@ -9,13 +9,17 @@ The site operators sigma^+-, sigma^z and the Jordan-Wigner c_j are monomial
 matrices: each column holds at most one nonzero.  They are built and
 multiplied as ``Monomial`` pairs of arrays, so products, transposes and
 diagonal scalings are gathers (the bit-operation form of A. W. Sandvik,
-arXiv:1101.3281, sec. 4.1).  The mode-number forms of the sector audit are
-sums of such monomial hoppings c_i+ c_j.  The parity operator is diagonal
-and is returned as its vector of +-1 entries.  Hamiltonians are dense.  The
-eigensolvers refuse a matrix that is not square, finite and Hermitian (real
-for the eigenpair) and solve each block of its nonzero pattern on its own
-(H. Q. Lin, PRB 42, 6561 (1990)): the XX ring's fermion-number sectors.  Only
-the ground block gets eigenvectors; a field sweep reuses one block solve.
+arXiv:1101.3281, sec. 4.1).  The Hamiltonian is a list of such terms: the
+field diagonal and one hopping per bond (``hamiltonian_terms``), or the
+fermion-operator form (``jw_terms``); the dense builds are their sums.  The
+mode-number forms of the sector audit are sums of monomial hoppings
+c_i+ c_j.  The parity operator is diagonal and is returned as its vector of
++-1 entries.  The eigensolvers take a dense matrix or a term list, list its
+nonzero entries, refuse a matrix that is not square, finite and Hermitian
+(real for the eigenpair) and solve each block of its off-diagonal pattern on
+its own (H. Q. Lin, PRB 42, 6561 (1990)): the XX ring's fermion-number
+sectors.  Only the ground block gets eigenvectors; a field sweep reuses one
+block solve.
 """
 
 from __future__ import annotations
@@ -38,8 +42,18 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])   # diagonal over (down, up)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |down><up|
 
 
+def _sums(slot, weights, size):
+    """Sum of the weights in each slot, added in input order; complex ones part by part."""
+    if not np.iscomplexobj(weights):
+        return np.bincount(slot, weights, size)
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(slot, weights.real, size)
+    sums.imag = np.bincount(slot, weights.imag, size)
+    return sums
+
+
 class Monomial:
-    """A 2^N x 2^N matrix with at most one nonzero in each column.
+    """A 2^N x 2^N matrix, or a direct sum of such blocks, with at most one nonzero per column.
 
     Column b holds ``coeff[b]`` in row ``target[b]``; ``target`` is a
     permutation of the basis, and a zero coefficient leaves its column empty.
@@ -91,6 +105,15 @@ class Monomial:
         return Monomial(self.target, (factor[self.target] if factor.ndim else factor) * self.coeff)
 
     @staticmethod
+    def direct_sum(blocks: list[Monomial]) -> Monomial:
+        """The block-diagonal monomial with the given equal-sized ones on its diagonal, in order."""
+        dim = blocks[0].target.size
+        return Monomial(
+            np.concatenate([block.target + k * dim for k, block in enumerate(blocks)]),
+            np.concatenate([block.coeff for block in blocks]),
+        )
+
+    @staticmethod
     def dense_sum(terms: list[Monomial]) -> np.ndarray:
         """The sum of the terms as one dense matrix, added up in the order given."""
         columns = np.arange(terms[0].target.size)
@@ -101,12 +124,21 @@ class Monomial:
 
     @staticmethod
     def max_abs_sum(terms: list[Monomial]) -> float:
-        """Largest |entry| of the sum of the terms, summed over the cells they occupy only."""
+        """Largest |entry| of the sum of the terms, summed over their nonzero cells only.
+
+        Each cell adds its coefficients in the order of the terms, as
+        dense_sum does; complex coefficients are summed part by part.
+        """
         dim = terms[0].target.size
-        cells = np.concatenate([term.target * dim + np.arange(dim) for term in terms])
-        _, slot = np.unique(cells, return_inverse=True)
-        sums = np.bincount(slot, weights=np.concatenate([term.coeff for term in terms]))
-        return float(np.abs(sums).max())
+        flat, coeff = [], []
+        for term in terms:
+            nonzero = np.flatnonzero(term.coeff != 0)
+            flat.append(term.target[nonzero] * dim + nonzero)
+            coeff.append(term.coeff[nonzero])
+        cells, slot = np.unique(np.concatenate(flat), return_inverse=True)
+        if not cells.size:
+            return 0.0
+        return float(np.abs(_sums(slot, np.concatenate(coeff), cells.size)).max())
 
 
 @dataclass(frozen=True)
@@ -124,34 +156,28 @@ class GroundEigenpair:
     gap: float
 
 
-def _popcounts(n_sites: int) -> np.ndarray:
-    b = np.arange(1 << n_sites)
-    counts = np.zeros(b.shape, dtype=np.int64)
-    for j in range(n_sites):
-        counts += (b >> j) & 1
-    return counts
+def hamiltonian_terms(n_sites: int, g: float) -> list[Monomial]:
+    """The XX-ring Hamiltonian straight from the Pauli form (J = 1), as N + 1 monomials.
 
-
-def build_spin_hamiltonian(n_sites: int, g: float) -> np.ndarray:
-    """Dense XX-ring Hamiltonian straight from the Pauli form (J = 1).
-
-    Diagonal: -g * (#up - #down).  Off-diagonal: -1 between basis states
-    that differ by swapping an adjacent up/down pair, including the bond
-    closing the ring.  Real symmetric.
+    First the field diagonal -g * (#up - #down), then one term per bond
+    (j, j + 1), the last closing the ring: -1 from each basis state to the
+    one with that adjacent up/down pair swapped, and coefficient 0 where
+    the pair's spins are equal.  Their sum is real symmetric.
     """
     _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
     _validate_field(g)
-    dim = 1 << n_sites
-    b = np.arange(dim)
-    ham = np.zeros((dim, dim))
-    ham[b, b] = -g * (2.0 * _popcounts(n_sites) - n_sites)
-    for j in range(n_sites):
-        jn = (j + 1) % n_sites
-        pair = (1 << j) | (1 << jn)
-        differs = (((b >> j) ^ (b >> jn)) & 1).astype(bool)
-        rows = b[differs]
-        ham[rows, rows ^ pair] = -1.0
-    return ham
+    b = np.arange(1 << n_sites)
+    sites = np.arange(n_sites)
+    bits = (b >> sites[:, None]) & 1  # row j: the spin of site j in every basis state
+    pairs = (1 << sites) | (1 << (sites + 1) % n_sites)
+    hops = np.where(bits != np.roll(bits, -1, axis=0), -1.0, 0.0)
+    diagonal = Monomial(b, -g * (2.0 * bits.sum(axis=0) - n_sites))
+    return [diagonal, *map(Monomial, b ^ pairs[:, None], hops)]
+
+
+def build_spin_hamiltonian(n_sites: int, g: float) -> np.ndarray:
+    """Dense XX-ring Hamiltonian: the sum of hamiltonian_terms."""
+    return Monomial.dense_sum(hamiltonian_terms(n_sites, g))
 
 
 def build_parity_operator(n_sites: int) -> np.ndarray:
@@ -162,19 +188,19 @@ def build_parity_operator(n_sites: int) -> np.ndarray:
     (rows) or ``A * parity`` (columns).
     """
     _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
-    n_down = n_sites - _popcounts(n_sites)
+    b = np.arange(1 << n_sites)
+    n_down = n_sites - sum((b >> j) & 1 for j in range(n_sites))
     return -((-1.0) ** n_down)
 
 
-def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
-    """The Hamiltonian assembled from explicit fermion operators.
+def jw_terms(n_sites: int, g: float) -> list[Monomial]:
+    """The Hamiltonian assembled from explicit fermion operators, as 3N monomials.
 
     Field term g (1 - 2 c_j c_j+), bulk hopping -(c_j c_{j+1}+ + h.c.), and
     the ring-closing bond carrying the parity factor: the periodic
     extension c_N = (parity of #down) * c_0 makes the boundary hopping
-    enter as  -P (c_{N-1} c_0+ + c_0 c_{N-1}+).  Every term is a monomial
-    product; only their sum is made dense.  Must reproduce
-    build_spin_hamiltonian entrywise.
+    enter as  -P (c_{N-1} c_0+ + c_0 c_{N-1}+).  Their sum must reproduce
+    hamiltonian_terms' entrywise.
     """
     _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
     _validate_field(g)
@@ -187,18 +213,51 @@ def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
         terms += [(left @ right.T).scaled(-1.0), (right @ left.T).scaled(-1.0)]
     minus_parity = -build_parity_operator(n_sites)
     terms += [(cs[-1] @ cs[0].T).scaled(minus_parity), (cs[0] @ cs[-1].T).scaled(minus_parity)]
-    return Monomial.dense_sum(terms)
+    return terms
 
 
-def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of A and A^T.
+def build_jw_hamiltonian(n_sites: int, g: float) -> np.ndarray:
+    """Dense Hamiltonian from explicit fermion operators: the sum of jw_terms."""
+    return Monomial.dense_sum(jw_terms(n_sites, g))
+
+
+def _entries(hamiltonian, real=False):
+    """The summed diagonal and the off-diagonal nonzeros (rows, cols, values) of a Hamiltonian.
+
+    A dense matrix is listed with one nonzero scan, in row-major order; a
+    list of Monomial terms gives its entries term by term, so a cell may
+    repeat and its values add up.  With ``real``, complex entries are
+    refused before any cast.
+    """
+    if isinstance(hamiltonian, list) and hamiltonian and isinstance(hamiltonian[0], Monomial):
+        dim = hamiltonian[0].target.size
+        rows = np.concatenate([term.target for term in hamiltonian])
+        cols = np.tile(np.arange(dim), len(hamiltonian))
+        values = np.concatenate([term.coeff for term in hamiltonian])
+    else:
+        matrix = np.asarray(hamiltonian)
+        shape = matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1] or not matrix.size:
+            raise ValueError(f"need a non-empty square matrix, got shape {shape}")
+        dim = shape[0]
+        flat = np.flatnonzero(matrix != 0)
+        rows, cols = np.divmod(flat, dim)
+        values = matrix.ravel()[flat]
+    if real and np.iscomplexobj(values):
+        raise ValueError(f"ground_eigenpair needs a real symmetric matrix, got {values.dtype}")
+    on = rows == cols
+    off = ~on & (values != 0)
+    return _sums(rows[on], values[on], dim), (rows[off], cols[off], values[off])
+
+
+def _blocks(diagonal, off) -> list[np.ndarray]:
+    """Index sets of the connected components of the off-diagonal pattern and its transpose.
 
     Minimum-label propagation with pointer jumping, numpy only.  Each set is
     ascending, and the sets come in the order of their smallest index.
     """
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), matrix.shape[0])
-    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    labels = np.arange(matrix.shape[0])
+    rows, cols = np.concatenate([off[0], off[1]]), np.concatenate([off[1], off[0]])
+    labels = np.arange(diagonal.size)
     while True:
         lowered = labels.copy()
         np.minimum.at(lowered, rows, labels[cols])
@@ -210,19 +269,12 @@ def _blocks(matrix: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _checked(matrix, real=False):
-    """Shape, (with ``real``) real-entry and finiteness checks: the array, its residual bound."""
-    matrix = np.asarray(matrix)
-    shape = matrix.shape
-    if len(shape) != 2 or shape[0] != shape[1] or not matrix.size:
-        raise ValueError(f"need a non-empty square matrix, got shape {shape}")
-    if real and np.iscomplexobj(matrix):
-        raise ValueError(f"ground_eigenpair needs a real symmetric matrix, got {matrix.dtype}")
-    matrix = np.asarray(matrix, dtype=float if real else None)
-    bound = RESIDUAL_TOLERANCE * np.linalg.norm(matrix)
+def _bound(off_square, diagonal):
+    """Finiteness check: RESIDUAL_TOLERANCE times the Frobenius norm, from |off-diagonal|^2."""
+    bound = RESIDUAL_TOLERANCE * math.sqrt(off_square + np.vdot(diagonal, diagonal).real)
     if not math.isfinite(bound):
         raise ValueError(f"need finite entries with a finite Frobenius norm, got bound {bound}")
-    return matrix, bound
+    return bound
 
 
 def _check_symmetry(asymmetry, bound):
@@ -230,66 +282,87 @@ def _check_symmetry(asymmetry, bound):
         raise ValueError(f"matrix is not symmetric: |H - H^+| {asymmetry:.3e} exceeds {bound:.3e}")
 
 
-def _solve_blocks(matrix, bound):
-    """Symmetry check, then one eigvalsh per block: (index, block) pairs, |H - H^+|, levels."""
-    blocks = [(index, matrix[np.ix_(index, index)]) for index in _blocks(matrix)]
-    # A nonzero H[i, j] joins i and j in one block whichever of H[i, j] and
-    # H[j, i] it sits in, so |H - H^+| is summed over the blocks alone.
+def _solve_blocks(diagonal, off):
+    """Checks, then one eigvalsh per block.
+
+    Returns the (index, block) pairs, their levels, |off-diagonal|^2,
+    |H - H^+| and the bound.  A block's entries add up in list order.  Every
+    off-diagonal entry lies in one block, so the blocks alone give both norms.
+    """
+    rows, cols, values = off
+    index_sets = _blocks(diagonal, off)
+    label = np.empty(diagonal.size, dtype=np.intp)
+    position = np.empty(diagonal.size, dtype=np.intp)
+    for b, index in enumerate(index_sets):
+        label[index] = b
+        position[index] = np.arange(index.size)
+    owner = label[rows]
+    dtype = np.result_type(values, diagonal, float)
+    blocks, off_square = [], 0.0
+    for b, index in enumerate(index_sets):
+        part = owner == b
+        block = np.zeros((index.size,) * 2, dtype)
+        np.add.at(block, (position[rows[part]], position[cols[part]]), values[part])
+        off_square += np.vdot(block, block).real
+        np.fill_diagonal(block, diagonal[index])
+        blocks.append((index, block))
+    bound = _bound(off_square, diagonal)
     asymmetry = math.sqrt(sum(np.linalg.norm(block - block.conj().T) ** 2 for _, block in blocks))
     _check_symmetry(asymmetry, bound)
     try:
-        return blocks, asymmetry, [np.linalg.eigvalsh(block) for _, block in blocks]
+        levels = [np.linalg.eigvalsh(block) for _, block in blocks]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
+    return blocks, levels, off_square, asymmetry, bound
 
 
-def eigvalsh(matrix) -> np.ndarray:
-    """Every eigenvalue of a dense Hermitian matrix, ascending, solved block by block.
+def eigvalsh(hamiltonian) -> np.ndarray:
+    """Every eigenvalue of a Hermitian matrix, ascending, solved block by block.
 
-    The levels of all blocks are merged and sorted.  Bad input raises
-    ValueError as in ground_eigenpair, with Hermitian in place of real symmetric.
+    It takes a dense matrix or a list of Monomial terms.  The levels of all
+    blocks are merged and sorted.  Bad input raises ValueError as in
+    ground_eigenpair, with Hermitian in place of real symmetric.
     """
-    return np.sort(np.concatenate(_solve_blocks(*_checked(matrix))[2]))
+    return np.sort(np.concatenate(_solve_blocks(*_entries(hamiltonian))[1]))
 
 
 def ground_eigenpairs(hamiltonians):
-    """Yield ground_eigenpair of each matrix in turn, reusing one block solve across shifts.
+    """Yield ground_eigenpair of each Hamiltonian in turn, reusing one block solve across shifts.
 
-    A matrix is a shift of the last one solved (the reference) when it has
-    the same size and off-diagonal nonzeros (flat index and value), and its
-    diagonal differs by a constant on each reference block, as a change of
-    field does on the XX ring.  Only the reference's nonzeros are listed by
-    index; a later matrix is matched by its off-diagonal nonzero count and
-    its values at those indices.  Its levels are the reference levels plus
-    each block's constant; each ground block gets one ``eigh``, kept with the
-    reference.  Any other matrix is solved afresh and becomes the reference.
-    Every matrix gets the input and residual checks against itself.  No dense
-    matrix is kept, and matrix k + 1 is pulled after result k is yielded.
+    Each is a dense matrix or a list of Monomial terms (as from
+    hamiltonian_terms), reduced to its entry list.  It is a shift of the last
+    one solved (the reference) when it has the same size and off-diagonal
+    entry list (rows, columns and values), and its diagonal differs by a
+    constant on each reference block, as a change of field does on the XX
+    ring.  Its levels are the reference levels plus each block's constant;
+    each ground block gets one ``eigh``, kept with the reference.  Any other
+    Hamiltonian is solved afresh and becomes the reference.  Every one gets
+    the finiteness and symmetry checks against its own bound, and the
+    residual check against its own entries.  No dense matrix is kept, and
+    Hamiltonian k + 1 is pulled after result k is yielded.
     """
     ref_dim = 0  # no reference yet; every matrix has at least one row
     for hamiltonian in hamiltonians:
-        matrix, bound = _checked(hamiltonian, real=True)
-        dim, shifts = len(matrix), None
-        # The reference's off-diagonal values are nonzero (and the entries
-        # finite), so equal values at its indices plus an equal off-diagonal
-        # count is exactly the same pattern, found without an index scan.
-        if (
-            dim == ref_dim
-            and np.count_nonzero(matrix) - np.count_nonzero(matrix.diagonal()) == ref_flat.size
-            and np.array_equal(matrix.ravel()[ref_flat], ref_values)
-        ):
-            delta = [matrix.diagonal()[index] - block.diagonal() for index, block in blocks]
-            if all((d == d[0]).all() for d in delta):
-                shifts = [d[0] for d in delta]
+        diagonal, off = _entries(hamiltonian, real=True)
+        dim, shifts = diagonal.size, None
+        if dim == ref_dim and all(np.array_equal(new, ref) for new, ref in zip(off, ref_off)):
+            bound = _bound(off_square, diagonal)  # the off-diagonal is the checked reference's
+            delta = diagonal - ref_diagonal
+            if np.array_equal(delta, delta[first]):  # constant on each block
+                shifts = delta[starts]
         if shifts is None:
-            blocks, asymmetry, shifted = _solve_blocks(matrix, bound)
-            ref_flat = np.flatnonzero(matrix)
-            ref_flat = ref_flat[ref_flat % (dim + 1) != 0]
-            ref_dim, ref_values, levels, eighs = dim, matrix.ravel()[ref_flat], shifted, {}
+            blocks, levels, off_square, asymmetry, bound = _solve_blocks(diagonal, off)
+            ref_dim, ref_off, ref_diagonal, eighs = dim, off, diagonal, {}
+            starts = np.array([index[0] for index, _ in blocks])
+            first = np.empty(dim, dtype=np.intp)
+            for index, _ in blocks:
+                first[index] = index[0]
+            # The two lowest levels of each block, padded with inf.
+            shifted = ref_low = np.array([np.append(lv[:2], np.inf)[:2] for lv in levels])
         else:
             _check_symmetry(asymmetry, bound)
-            shifted = [block_levels[:2] + s for block_levels, s in zip(levels, shifts)]
-        ground = min(range(len(blocks)), key=lambda b: shifted[b][0])
+            shifted = ref_low + shifts[:, None]
+        ground = int(np.argmin(shifted[:, 0]))
         if ground not in eighs:
             try:
                 eighs[ground] = np.linalg.eigh(blocks[ground][1])
@@ -299,30 +372,33 @@ def ground_eigenpairs(hamiltonians):
         energy = float(values[0] if shifts is None else values[0] + shifts[ground])
         vector = np.zeros(dim)
         vector[blocks[ground][0]] = vectors[:, 0]
-        lowest = np.sort(np.concatenate([block_levels[:2] for block_levels in shifted]))
+        lowest = np.sort(shifted, axis=None)
         gap = float(lowest[1] - lowest[0]) if dim > 1 else math.inf
-        residual = np.linalg.norm(matrix @ vector - energy * vector)
+        rows, cols, couplings = off
+        applied = diagonal * vector + np.bincount(rows, couplings * vector[cols], dim)
+        residual = np.linalg.norm(applied - energy * vector)
         if residual > bound:
             raise NoConvergence(
                 f"eigenpair residual {residual:.3e} exceeds {bound:.3e} "
                 f"(dimension {dim}, energy {energy:.6g})"
             )
         yield GroundEigenpair(energy, vector, gap < DEGENERACY_GAP, gap)
-        del hamiltonian, matrix
+        del hamiltonian
 
 
-def ground_eigenpair(hamiltonian: np.ndarray) -> GroundEigenpair:
-    """Lowest eigenpair of a dense real symmetric matrix: ground_eigenpairs of one matrix.
+def ground_eigenpair(hamiltonian) -> GroundEigenpair:
+    """Lowest eigenpair of a real symmetric matrix: ground_eigenpairs of one Hamiltonian.
 
-    The blocks are the connected components of the matrix's own nonzero
-    pattern; each gets a ``numpy.linalg.eigvalsh``, and only the block
-    holding the lowest level gets a ``numpy.linalg.eigh`` for the eigenpair
-    (zero outside its block).  The two lowest levels over all blocks give
-    the gap behind the degeneracy flag (infinite for a 1 x 1 matrix).  Input
-    that is not a non-empty square real matrix, has a non-finite entry, or is
-    not symmetric within RESIDUAL_TOLERANCE times its Frobenius norm raises
-    ValueError.  The eigenpair is rejected with NoConvergence when its
-    residual against the whole matrix exceeds that same bound.
+    It takes a dense matrix or a list of Monomial terms.  The blocks are the
+    connected components of the matrix's own off-diagonal pattern; each gets
+    a ``numpy.linalg.eigvalsh``, and only the block holding the lowest level
+    gets a ``numpy.linalg.eigh`` for the eigenpair (zero outside its block).
+    The two lowest levels over all blocks give the gap behind the degeneracy
+    flag (infinite for a 1 x 1 matrix).  Input that is not a non-empty
+    square real matrix, has a non-finite entry, or is not symmetric within
+    RESIDUAL_TOLERANCE times its Frobenius norm raises ValueError.  The
+    eigenpair is rejected with NoConvergence when its residual against the
+    whole matrix exceeds that same bound.
     """
     return next(ground_eigenpairs([hamiltonian]))
 

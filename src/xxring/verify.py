@@ -1,9 +1,13 @@
-"""Cross-validation suite: every identity the dense oracle can check.
+"""Cross-validation suite: every identity the brute-force oracle can check.
 
 Each check compares an independent construction against the closed-form
 modules (or one operator build against another) and reports the worst
-deviation with its tolerance.  The CLI's ``verify`` command runs every
-check, lists each failed one, and exits 1 if any failed.
+deviation with its tolerance.  The checks work on monomial terms: the
+Hamiltonian as ``oracle.hamiltonian_terms`` and ``oracle.jw_terms``, and the
+site-operator pairs stacked into one block-diagonal monomial per check.  Only
+the sector reassembly, capped below the suite, builds dense matrices.  The
+CLI's ``verify`` command runs every check, lists each failed one, and exits 1
+if any failed.
 """
 
 from __future__ import annotations
@@ -77,35 +81,43 @@ def default_field_grid(n_sites: int) -> list[float]:
     return [g for g in grid if min(abs(g - gc) for gc in fields) > CROSSING_EXCLUSION]
 
 
+def _stacked_products(pairs, lefts, rights):
+    """[A_i B_j, B_j A_i] over the pairs (i, j), each stacked as the blocks of one direct sum."""
+    firsts = oracle.Monomial.direct_sum([lefts[i] for i, _ in pairs])
+    seconds = oracle.Monomial.direct_sum([rights[j] for _, j in pairs])
+    return [firsts @ seconds, seconds @ firsts]
+
+
 def check_pauli_site_algebra(n_sites: int) -> CheckResult:
-    """Raising/lowering operators anticommute on site, commute off site."""
+    """Raising/lowering operators anticommute on site, commute off site.
+
+    The N^2 site pairs are stacked, so one max_abs_sum gives the worst entry
+    over all of them.
+    """
     dim = 1 << n_sites
     plus = [
         oracle.Monomial.site(oracle.SIGMA_MINUS.T, j, n_sites, flip=True)
         for j in range(n_sites)
     ]
-    worst = 0.0
-    for i in range(n_sites):
-        for j in range(n_sites):
-            sign = 1.0 if i == j else -1.0
-            terms = [plus[i] @ plus[j], (plus[j] @ plus[i]).scaled(sign)]
-            worst = max(worst, oracle.Monomial.max_abs_sum(terms))
+    forward, backward = _stacked_products(list(np.ndindex(n_sites, n_sites)), plus, plus)
+    signs = 2.0 * np.eye(n_sites) - 1.0  # + on site, - off site
+    worst = oracle.Monomial.max_abs_sum([forward, backward.scaled(np.repeat(signs, dim))])
     return _result("pauli_site_algebra", worst, OPERATOR_TOLERANCE, sites=n_sites, dim=dim)
 
 
 def check_jw_anticommutation(n_sites: int) -> CheckResult:
-    """{c_i, c_j} = 0, {c_i+, c_j+} = 0, {c_i, c_j+} = delta_ij."""
+    """{c_i, c_j} = 0, {c_i+, c_j+} = 0, {c_i, c_j+} = delta_ij.
+
+    Both anticommutators of all N^2 pairs are stacked, so one max_abs_sum
+    gives the worst entry over all of them.
+    """
     cs = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
-    daggers = [c.T for c in cs]
-    minus_eye = oracle.Monomial.identity(1 << n_sites).scaled(-1.0)
-    worst = 0.0
-    for i in range(n_sites):
-        for j in range(n_sites):
-            worst = max(worst, oracle.Monomial.max_abs_sum([cs[i] @ cs[j], cs[j] @ cs[i]]))
-            mixed = [cs[i] @ daggers[j], daggers[j] @ cs[i]]
-            if i == j:
-                mixed.append(minus_eye)
-            worst = max(worst, oracle.Monomial.max_abs_sum(mixed))
+    # Block (i, j) holds {c_i, c_j}, and block (i, N + j) holds {c_i, c_j+}.
+    pairs = list(np.ndindex(n_sites, 2 * n_sites))
+    products = _stacked_products(pairs, cs, cs + [c.T for c in cs])
+    delta = np.eye(n_sites, 2 * n_sites, n_sites)
+    minus_delta = oracle.Monomial(np.arange(len(pairs) << n_sites), -np.repeat(delta, 1 << n_sites))
+    worst = oracle.Monomial.max_abs_sum(products + [minus_delta])
     return _result("jw_anticommutation", worst, OPERATOR_TOLERANCE, sites=n_sites)
 
 
@@ -122,18 +134,20 @@ def check_boundary_operator(n_sites: int) -> CheckResult:
 
 
 def check_parity_commutes(n_sites: int, g: float) -> CheckResult:
-    """[P, H] = 0, with P applied as row and column scaling."""
-    ham = oracle.build_spin_hamiltonian(n_sites, g)
+    """[P, H] = 0, term by term: [P, T] holds (P[target] - P) * coeff in T's cells."""
     parity = oracle.build_parity_operator(n_sites)
-    deviation = np.abs(parity[:, None] * ham - ham * parity).max()
+    commutators = [
+        oracle.Monomial(term.target, (parity[term.target] - parity) * term.coeff)
+        for term in oracle.hamiltonian_terms(n_sites, g)
+    ]
+    deviation = oracle.Monomial.max_abs_sum(commutators)
     return _result("parity_commutes", deviation, OPERATOR_TOLERANCE, sites=n_sites, g=g)
 
 
 def check_jw_equals_pauli(n_sites: int, g: float) -> CheckResult:
-    """The Jordan-Wigner build reproduces the Pauli build entrywise."""
-    deviation = np.abs(
-        oracle.build_jw_hamiltonian(n_sites, g) - oracle.build_spin_hamiltonian(n_sites, g)
-    ).max()
+    """The Jordan-Wigner terms sum to the Pauli terms entrywise."""
+    negated = [term.scaled(-1.0) for term in oracle.hamiltonian_terms(n_sites, g)]
+    deviation = oracle.Monomial.max_abs_sum(oracle.jw_terms(n_sites, g) + negated)
     return _result("jw_equals_pauli", deviation, JW_EQUALITY_TOLERANCE, sites=n_sites, g=g)
 
 
@@ -158,10 +172,11 @@ def check_spectrum_reflection(n_sites: int, g: float) -> CheckResult:
     """Flipping the field preserves the spectrum (global spin flip).
 
     Even rings are bipartite, so their spectrum is additionally negated
-    under the reflection; odd rings have no such sublattice rotation.
+    under the reflection; odd rings have no such sublattice rotation.  Both
+    spectra come block by block from the terms' entries.
     """
-    direct = oracle.eigvalsh(oracle.build_spin_hamiltonian(n_sites, g))
-    flipped = oracle.eigvalsh(oracle.build_spin_hamiltonian(n_sites, -g))
+    direct = oracle.eigvalsh(oracle.hamiltonian_terms(n_sites, g))
+    flipped = oracle.eigvalsh(oracle.hamiltonian_terms(n_sites, -g))
     deviation = np.abs(direct - flipped).max()
     if n_sites % 2 == 0:
         deviation = max(deviation, np.abs(direct + flipped[::-1]).max())
@@ -169,12 +184,12 @@ def check_spectrum_reflection(n_sites: int, g: float) -> CheckResult:
 
 
 def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
-    """Closed-form ground energy and state against the dense H built at each field.
+    """Closed-form ground energy and state against the oracle's H at each field.
 
-    The Hamiltonians stream through ``oracle.ground_eigenpairs`` (one block
-    solve, shifted per field).  The analytic state depends on g only through
-    its sector, so it is rebuilt only when the sector changes from one field
-    to the next: once per sector on an ascending grid.  Returns
+    Each field's Hamiltonian terms stream through ``oracle.ground_eigenpairs``
+    (one block solve, shifted per field).  The analytic state depends on g
+    only through its sector, so it is rebuilt only when the sector changes
+    from one field to the next: once per sector on an ascending grid.  Returns
     ``energy_agreement`` (lowest eigenvalue against N * ground_energy_density)
     and ``state_overlap`` (analytic ground state against the dense
     eigenvector, up to phase).  An empty grid raises ValueError: a check over
@@ -185,7 +200,7 @@ def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
         raise ValueError("the field grid is empty; nothing would be checked")
     energy_worst = overlap_worst = 0.0
     state = None
-    hamiltonians = (oracle.build_spin_hamiltonian(n_sites, g) for g in grid)
+    hamiltonians = (oracle.hamiltonian_terms(n_sites, g) for g in grid)
     for g, pair in zip(grid, oracle.ground_eigenpairs(hamiltonians)):
         energy = n_sites * ground_energy_density(n_sites, g)
         energy_worst = max(energy_worst, abs(energy - pair.energy))
@@ -204,10 +219,10 @@ def run_verification(n_sites: int) -> VerificationReport:
     """Run every applicable check for one ring size.
 
     Operator-level audits run at SPOT_FIELDS; the energy and state
-    comparisons share one dense build per point of the default grid, one
+    comparisons share one term build per point of the default grid, one
     block solve for the whole grid and one analytic state per sector.  The
     sector reassembly is the one check with a size cap below the suite's,
-    and is skipped above it.
+    and the only one that builds dense matrices; it is skipped above it.
     """
     _validate_sites(n_sites, minimum=3, budget="verification suite")
     checks: list[CheckResult] = [

@@ -111,6 +111,20 @@ class TestSpinHamiltonian:
         with pytest.raises(SizeLimit):
             oracle.build_spin_hamiltonian(13, 0.1)
 
+    @pytest.mark.parametrize("n_sites", [3, 6])
+    def test_terms_are_the_field_diagonal_and_one_hop_per_bond(self, n_sites):
+        basis = np.arange(1 << n_sites)
+        terms = oracle.hamiltonian_terms(n_sites, 0.4)
+        assert len(terms) == n_sites + 1
+        assert np.array_equal(terms[0].target, basis)
+        diagonal = oracle.build_spin_hamiltonian(n_sites, 0.4).diagonal()
+        assert np.array_equal(terms[0].coeff, diagonal)
+        for j, term in enumerate(terms[1:]):
+            pair = (1 << j) | (1 << (j + 1) % n_sites)
+            hops = np.array([bin(b & pair).count("1") == 1 for b in basis])
+            assert np.array_equal(term.target, basis ^ pair)
+            assert np.array_equal(term.coeff, np.where(hops, -1.0, 0.0))
+
 
 class TestJordanWignerBuild:
     @pytest.mark.parametrize("n_sites,g", [(3, 0.7), (4, 0.0), (5, -0.9), (6, 0.25)])
@@ -252,6 +266,19 @@ class TestGroundEigenpair:
                 oracle.ground_eigenpair(matrix)
         assert oracle.eigvalsh(matrix).tolist() == [-1.0, 1.0]
 
+    def test_one_dense_solve_lists_its_nonzeros_once(self, monkeypatch):
+        ham = oracle.build_spin_hamiltonian(10, 0.3)
+        true_flatnonzero = np.flatnonzero
+        sizes = []
+
+        def counting(array):
+            sizes.append(np.size(array))
+            return true_flatnonzero(array)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        oracle.ground_eigenpair(ham)
+        assert sizes.count(1 << 20) == 1
+
     def test_one_by_one_matrix_has_infinite_gap(self):
         pair = oracle.ground_eigenpair([[-2.5]])
         assert pair.energy == -2.5
@@ -367,8 +394,42 @@ class TestMonomialOperators:
             assert oracle.Monomial.max_abs_sum(terms) == np.abs(total).max()
             assert np.array_equal(oracle.Monomial.dense_sum(terms), total)
 
+    def test_max_abs_sum_of_complex_terms(self):
+        n_sites = 4
+        ops = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+        eye = oracle.Monomial.identity(1 << n_sites)
+        for a, b in itertools.product(ops, repeat=2):
+            terms = [(a @ b.T).scaled(0.5 + 2j), (b.T @ a).scaled(-1.5j), eye.scaled(np.exp(0.3j))]
+            total = np.abs(oracle.Monomial.dense_sum(terms)).max()
+            assert oracle.Monomial.max_abs_sum(terms) == total
+
+    def test_direct_sums_multiply_block_by_block(self):
+        n_sites = 4
+        dim = 1 << n_sites
+        lefts = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+        rights = [c.T for c in lefts[:3]] + [oracle.Monomial.site(oracle.SIGMA_Z, 2, n_sites)]
+        firsts = oracle.Monomial.direct_sum(lefts)
+        seconds = oracle.Monomial.direct_sum(rights)
+        assert firsts.target.size == 4 * dim
+        for p, (a, b) in enumerate(zip(lefts, rights)):
+            block = slice(p * dim, (p + 1) * dim)
+            stacked_products = ((firsts, a), (firsts @ seconds, a @ b), (seconds @ firsts, b @ a))
+            for stacked, product in stacked_products:
+                assert np.array_equal(stacked.target[block], product.target + p * dim)
+                assert np.array_equal(stacked.coeff[block], product.coeff)
+
 
 class TestBlockedSolve:
+    @pytest.mark.parametrize("n_sites", range(3, 9))
+    def test_terms_solve_as_their_dense_sum(self, n_sites):
+        for g in (0.45, -1.1):
+            terms = oracle.hamiltonian_terms(n_sites, g)
+            dense = oracle.build_spin_hamiltonian(n_sites, g)
+            assert np.array_equal(oracle.eigvalsh(terms), oracle.eigvalsh(dense))
+            pair, plain = oracle.ground_eigenpair(terms), oracle.ground_eigenpair(dense)
+            assert (pair.energy, pair.gap) == (plain.energy, plain.gap)
+            assert np.array_equal(pair.vector, plain.vector)
+
     @pytest.mark.parametrize("n_sites", range(3, 9))
     def test_matches_full_dense_solve(self, n_sites):
         crossings = [cp.g_c for cp in analytic.critical_points(n_sites)]
@@ -404,14 +465,14 @@ class TestBlockedSolve:
         for g in (-1.2, -0.9, 0.3):
             ham = oracle.build_spin_hamiltonian(n_sites, g)
             ham[0, 1] = ham[1, 0] = 0.3
-            assert len(oracle._blocks(ham)) == n_sites
+            assert len(oracle._blocks(*oracle._entries(ham))) == n_sites
             assert_same_as_full_solve(ham)
 
     @pytest.mark.parametrize("n_sites", range(3, 11))
     def test_spin_hamiltonian_blocks_are_the_fermion_sectors(self, n_sites):
         fermions = np.array([bin(b).count("1") for b in range(1 << n_sites)])
         for g in (0.37, 0.0):
-            blocks = oracle._blocks(oracle.build_spin_hamiltonian(n_sites, g))
+            blocks = oracle._blocks(*oracle._entries(oracle.build_spin_hamiltonian(n_sites, g)))
             assert [fermions[index[0]] for index in blocks] == list(range(n_sites + 1))
             for n, index in enumerate(blocks):
                 assert np.array_equal(index, np.flatnonzero(fermions == n))
@@ -437,13 +498,15 @@ class TestBlockedSolve:
 class TestGroundEigenpairStream:
     @pytest.mark.parametrize("n_sites", range(3, 11))
     def test_matches_one_solve_per_field(self, n_sites):
-        # The shifted levels against the plain path at every field.
+        # The shifted levels of the term stream against the plain dense path
+        # at every field.
         grid = verify.default_field_grid(n_sites)
         if n_sites == 10:
             grid = grid[::19]
             assert len(grid) == 3
         hams = [oracle.build_spin_hamiltonian(n_sites, g) for g in grid]
-        for ham, pair in zip(hams, oracle.ground_eigenpairs(iter(hams)), strict=True):
+        terms = (oracle.hamiltonian_terms(n_sites, g) for g in grid)
+        for ham, pair in zip(hams, oracle.ground_eigenpairs(terms), strict=True):
             plain = oracle.ground_eigenpair(ham)
             assert abs(pair.energy - plain.energy) <= 1e-12
             assert abs(pair.gap - plain.gap) <= 1e-12
@@ -453,24 +516,26 @@ class TestGroundEigenpairStream:
 
     @pytest.mark.parametrize("change", ["hopping", "extra", "moved", "diagonal", "size"])
     def test_a_matrix_that_is_no_shift_is_solved_afresh(self, change, monkeypatch):
-        first = oracle.build_spin_hamiltonian(5, 0.3)
-        second = oracle.build_spin_hamiltonian(5, -0.6)
+        first = oracle.hamiltonian_terms(5, 0.3)
+        second = oracle.hamiltonian_terms(5, -0.6)
+        # States 3 and 12 (sites {0, 1} and {2, 3}) share the two-fermion
+        # block but no hop; this term adds one between them.
+        swap = np.arange(32)
+        swap[[3, 12]] = [12, 3]
+        extra_hop = oracle.Monomial(swap, np.where(swap != np.arange(32), -1.0, 0.0))
         if change == "hopping":
-            second[1, 2] = second[2, 1] = -1.5
+            second[1].coeff[[1, 2]] = -1.5  # bond (0, 1): states 1 and 2
         elif change == "extra":
-            # States 3 and 12 (sites {0, 1} and {2, 3}) share the two-fermion
-            # block but no hop: every reference value is kept, only the
-            # off-diagonal count grows.
-            second[3, 12] = second[12, 3] = -1.0
+            # Every reference entry is kept; the entry list only grows.
+            second.append(extra_hop)
         elif change == "moved":
-            # One hop dropped and another added: the count is unchanged, and
-            # only the values at the reference's indices differ.
-            second[1, 2] = second[2, 1] = 0.0
-            second[3, 12] = second[12, 3] = -1.0
+            # One hop dropped and another added: as many entries, at other cells.
+            second[1].coeff[[1, 2]] = 0.0
+            second.append(extra_hop)
         elif change == "diagonal":
-            second[3, 3] += 0.25  # state 3 shares its two-fermion block with others
+            second[0].coeff[3] += 0.25  # state 3 shares its two-fermion block with others
         else:
-            second = oracle.build_spin_hamiltonian(6, -0.6)
+            second = oracle.hamiltonian_terms(6, -0.6)
         true_eigvalsh = np.linalg.eigvalsh
         solved = []
 
@@ -483,7 +548,7 @@ class TestGroundEigenpairStream:
         next(stream)
         del solved[:]
         pair = next(stream)
-        assert sum(solved) == len(second)
+        assert sum(solved) == second[0].target.size
         monkeypatch.undo()
         plain = oracle.ground_eigenpair(second)
         assert (pair.energy, pair.gap, pair.degenerate) == (
@@ -495,7 +560,7 @@ class TestGroundEigenpairStream:
 
     def test_a_shift_solves_no_block(self, monkeypatch):
         stream = oracle.ground_eigenpairs(
-            oracle.build_spin_hamiltonian(5, g) for g in (0.3, -0.6, 1.2)
+            oracle.hamiltonian_terms(5, g) for g in (0.3, -0.6, 1.2)
         )
         next(stream)
 
@@ -506,8 +571,8 @@ class TestGroundEigenpairStream:
         assert [pair.energy < 0 for pair in stream] == [True, True]
 
     def test_a_shift_lists_no_nonzeros(self, monkeypatch):
-        # Only a solved matrix has its nonzeros listed by index; a shift is
-        # matched by its off-diagonal count and the values at those indices.
+        # Only a solved Hamiltonian has its blocks found; a shift of terms is
+        # matched by its off-diagonal entry list, with no scan for nonzeros.
         true_flatnonzero = np.flatnonzero
         scans = []
 
@@ -517,7 +582,7 @@ class TestGroundEigenpairStream:
 
         monkeypatch.setattr(np, "flatnonzero", counting)
         stream = oracle.ground_eigenpairs(
-            oracle.build_spin_hamiltonian(5, g) for g in (0.3, -0.6, 1.2)
+            oracle.hamiltonian_terms(5, g) for g in (0.3, -0.6, 1.2)
         )
         next(stream)
         assert scans
@@ -544,9 +609,9 @@ class TestGroundEigenpairStream:
         assert events == [(step, k) for k in range(3) for step in ("pull", "yield")]
 
     def test_every_matrix_gets_the_input_checks(self):
-        ham = oracle.build_spin_hamiltonian(4, 0.3)
-        bad = oracle.build_spin_hamiltonian(4, -0.6)
-        bad[0, 0] = math.nan
+        ham = oracle.hamiltonian_terms(4, 0.3)
+        bad = oracle.hamiltonian_terms(4, -0.6)
+        bad[0].coeff[0] = math.nan
         stream = oracle.ground_eigenpairs([ham, bad])
         next(stream)
         with pytest.raises(ValueError, match="finite"):
@@ -560,8 +625,8 @@ class TestFullSpectrum:
         # over every n-subset K of the modes, alpha = alpha_for_sector(N, n).
         fermions = np.array([bin(b).count("1") for b in range(1 << n_sites)])
         for g in (0.7, -0.4, 0.0, 1.3):
-            matrix, bound = oracle._checked(oracle.build_spin_hamiltonian(n_sites, g))
-            blocks, _, levels = oracle._solve_blocks(matrix, bound)
+            entries = oracle._entries(oracle.build_spin_hamiltonian(n_sites, g))
+            blocks, levels, *_ = oracle._solve_blocks(*entries)
             assert len(blocks) == n_sites + 1
             for n, ((index, _), block_levels) in enumerate(zip(blocks, levels)):
                 assert np.array_equal(index, np.flatnonzero(fermions == n))

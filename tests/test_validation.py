@@ -76,6 +76,8 @@ ENTRY_POINTS = {
     "build_spin_hamiltonian": EntryPoint(
         oracle.build_spin_hamiltonian, 3, True, "dense spin Hamiltonian"
     ),
+    "hamiltonian_terms": EntryPoint(oracle.hamiltonian_terms, 3, True, "dense spin Hamiltonian"),
+    "jw_terms": EntryPoint(oracle.jw_terms, 3, True, "dense spin Hamiltonian"),
     "build_parity_operator": EntryPoint(
         lambda n, g: oracle.build_parity_operator(n), 3, False, "dense spin Hamiltonian"
     ),

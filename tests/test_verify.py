@@ -57,14 +57,14 @@ class TestChecks:
             verify.check_ground_agreement(6, [])
 
     def test_energy_check_catches_corruption(self, monkeypatch):
-        true_build = oracle.build_spin_hamiltonian
+        true_terms = oracle.hamiltonian_terms
 
         def corrupted(n_sites, g):
-            ham = true_build(n_sites, g)
-            ham[0, 0] += 0.01  # break the vacuum diagonal
-            return ham
+            terms = true_terms(n_sites, g)
+            terms[0].coeff[0] += 0.01  # break the vacuum diagonal
+            return terms
 
-        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        monkeypatch.setattr(oracle, "hamiltonian_terms", corrupted)
         result, _ = verify.check_ground_agreement(4)
         assert result.name == "energy_agreement"
         assert not result.passed
@@ -73,20 +73,20 @@ class TestChecks:
     def test_ground_agreement_results_fail_only_on_their_own_corruption(
         self, monkeypatch
     ):
-        true_build = oracle.build_spin_hamiltonian
+        true_terms = oracle.hamiltonian_terms
         true_state = verify.ground_state
 
         def shifted_diagonal(n_sites, g):
-            ham = true_build(n_sites, g)
-            ham[0, 0] += 0.01  # the vacuum is its own 1 x 1 block: only its energy moves
-            return ham
+            terms = true_terms(n_sites, g)
+            terms[0].coeff[0] += 0.01  # the vacuum is its own 1 x 1 block: only its energy moves
+            return terms
 
         def rolled_state(n_sites, g):
             state = true_state(n_sites, g)
             return replace(state, amplitudes=np.roll(state.amplitudes, 1))
 
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "build_spin_hamiltonian", shifted_diagonal)
+            patch.setattr(oracle, "hamiltonian_terms", shifted_diagonal)
             energy, overlap = verify.check_ground_agreement(4)
         assert (energy.name, overlap.name) == ("energy_agreement", "state_overlap")
         assert not energy.passed
@@ -160,19 +160,19 @@ class TestChecks:
 
     def test_energy_check_catches_a_flipped_hopping_at_one_field(self, monkeypatch):
         # Corrupting a single grid field's H must fail the check although the
-        # other fields reuse one block solve: the corrupted matrix is no shift
+        # other fields reuse one block solve: the corrupted terms are no shift
         # of the reference, so it is solved on its own.
-        true_build = oracle.build_spin_hamiltonian
+        true_terms = oracle.hamiltonian_terms
         grid = verify.default_field_grid(4)
         corrupted_g = next(g for g in grid if analytic.ground_sector(4, g) == 1)
 
         def corrupted(n_sites, g):
-            ham = true_build(n_sites, g)
+            terms = true_terms(n_sites, g)
             if g == corrupted_g:
-                ham[1, 2] = ham[2, 1] = +1.0  # one-fermion hop from site 0 to site 1
-            return ham
+                terms[1].coeff[[1, 2]] = +1.0  # one-fermion hop from site 0 to site 1
+            return terms
 
-        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        monkeypatch.setattr(oracle, "hamiltonian_terms", corrupted)
         energy, _ = verify.check_ground_agreement(4)
         assert not energy.passed
         assert energy.max_deviation > 1e-3
@@ -199,6 +199,86 @@ class TestChecks:
         assert not result.passed
         assert result.max_deviation >= 0.5
         assert result.detail["entry"] == [1, 2]
+
+
+    @pytest.mark.parametrize("n_sites", [9, 10])
+    def test_no_dense_hamiltonian_above_the_reassembly_cap(self, n_sites, monkeypatch):
+        # Above the sector reassembly's cap, every check works on terms.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Hamiltonian was built")
+
+        monkeypatch.setattr(oracle.Monomial, "dense_sum", staticmethod(refuse))
+        monkeypatch.setattr(oracle, "build_spin_hamiltonian", refuse)
+        monkeypatch.setattr(oracle, "build_jw_hamiltonian", refuse)
+        report = verify.run_verification(n_sites)
+        assert report.passed
+        assert "sector_reassembly" not in {check.name for check in report.checks}
+
+
+def _corrupt_output(monkeypatch, owner, name, corrupt):
+    """Patch ``owner.name`` so that ``corrupt(result, *args)`` edits each result in place."""
+    true_call = getattr(owner, name)
+
+    def corrupted(*args, **kwargs):
+        result = true_call(*args, **kwargs)
+        corrupt(result, *args, **kwargs)
+        return result
+
+    if isinstance(owner, type):  # a Monomial constructor, called on the class
+        corrupted = staticmethod(corrupted)
+    monkeypatch.setattr(owner, name, corrupted)
+
+
+class TestOperatorChecksCatchCorruption:
+    # Each corruption is one coefficient or target of one operator build; a
+    # check that passed regardless would fail here.
+    def test_parity_commutes(self, monkeypatch):
+        def move_the_vacuum(terms, n_sites, g):
+            terms[0].target[[0, 1]] = [1, 0]  # the field couples states of opposite parity
+
+        _corrupt_output(monkeypatch, oracle, "hamiltonian_terms", move_the_vacuum)
+        result = verify.check_parity_commutes(4, 0.7)
+        assert not result.passed
+        assert result.max_deviation == pytest.approx(2 * 4 * 0.7)
+
+    def test_jw_equals_pauli(self, monkeypatch):
+        def shift_one_field_entry(terms, n_sites, g):
+            terms[0].coeff[5] += 0.5
+
+        _corrupt_output(monkeypatch, oracle, "jw_terms", shift_one_field_entry)
+        result = verify.check_jw_equals_pauli(4, 0.7)
+        assert not result.passed
+        assert result.max_deviation == pytest.approx(0.5)
+
+    def test_spectrum_reflection(self, monkeypatch):
+        def shift_the_vacuum(terms, n_sites, g):
+            terms[0].coeff[0] += 0.01  # not flipped with the field
+
+        _corrupt_output(monkeypatch, oracle, "hamiltonian_terms", shift_the_vacuum)
+        for n_sites in (4, 5):
+            result = verify.check_spectrum_reflection(n_sites, 0.7)
+            assert not result.passed
+            assert result.max_deviation >= 0.01 - 1e-12
+
+    def test_pauli_site_algebra(self, monkeypatch):
+        def corrupt(monomial, op, site, n_sites, flip=False):
+            if flip and site == 1:
+                monomial.coeff[0] *= 2.0  # sigma+_1 on the all-down state
+
+        _corrupt_output(monkeypatch, oracle.Monomial, "site", corrupt)
+        result = verify.check_pauli_site_algebra(4)
+        assert not result.passed
+        assert result.max_deviation == 1.0
+
+    def test_jw_anticommutation(self, monkeypatch):
+        def corrupt(monomial, n_sites, site):
+            if site == 1:
+                monomial.coeff[0b10] *= -1.0  # c_1 on the state with site 1 alone filled
+
+        _corrupt_output(monkeypatch, oracle.Monomial, "annihilation", corrupt)
+        result = verify.check_jw_anticommutation(4)
+        assert not result.passed
+        assert result.max_deviation == 2.0
 
 
 class TestGroundAgreementProperty:

@@ -6,14 +6,15 @@ command that runs the dense-oracle cross-checks.  Output is byte-for-byte
 reproducible: fixed row order, 17 significant digits, LF line endings, no
 environment lookups.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 size or
-resource limit.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+``--output`` path that cannot be written), 3 size or resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 
@@ -362,7 +363,23 @@ def main(argv=None) -> int:
     except (ValueError, XXRingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        if args.output is None:  # stdout itself failed, e.g. a closed pipe
+            raise
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run the CLI as a process: ``main()``, then exit with its code.
+
+    ``gc.freeze()`` before the exit moves every live object into the
+    permanent generation, so the cyclic collections of interpreter shutdown
+    scan nothing; with numpy loaded they cost about 30 ms of each process.
+    Stdout is still flushed at shutdown, and ``--output`` files are closed
+    by then.  ``main()`` does not freeze: tests and library callers run it
+    in-process, where a freeze would pin every object of their session.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -1,8 +1,10 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from importlib import resources
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from test_golden import PINNED_BYTES
 
 import xxring
 from xxring import cli, oracle
@@ -19,6 +22,21 @@ def run_cli(args, tmp_path, name="out"):
     path = tmp_path / name
     code = cli.main(args + ["--output", str(path)])
     return code, path.read_bytes() if path.exists() else b""
+
+
+def package_env():
+    """This environment, with the tested package first on PYTHONPATH."""
+    env = dict(os.environ)
+    package_root = str(Path(xxring.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([package_root, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def run_process(args):
+    """``python -m xxring ARGS`` as a fresh process, through ``cli.entry``."""
+    return subprocess.run(
+        [sys.executable, "-m", "xxring", *args], env=package_env(), capture_output=True
+    )
 
 
 def load_schema():
@@ -356,6 +374,87 @@ class TestExitCodes:
         validate_json(payload)
 
 
+#: One closed-form README plot command and one numpy-backed N = 11 table.
+PROCESS_PINS = [PINNED_BYTES[2], PINNED_BYTES[-1]]
+
+
+class TestProcess:
+    """``python -m xxring`` in a fresh process, the path of ``cli.entry``."""
+
+    @pytest.mark.parametrize(
+        "argv, digest", PROCESS_PINS, ids=["_".join(argv) for argv, _ in PROCESS_PINS]
+    )
+    def test_stdout_bytes_match_the_in_process_pins(self, argv, digest):
+        run = run_process(argv)
+        assert (run.returncode, run.stderr) == (cli.EXIT_OK, b"")
+        assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+    def test_verify_passes(self):
+        run = run_process(["verify", "--sites", "4"])
+        assert run.returncode == cli.EXIT_OK
+        assert json.loads(run.stdout)["passed"] is True
+
+    def test_usage_error_writes_no_stdout(self):
+        run = run_process(["spectrum", "--sites", "8", "--steps", "1"])
+        assert (run.returncode, run.stdout) == (cli.EXIT_USAGE, b"")
+
+    def test_size_limit(self):
+        run = run_process(["entanglement", "--sites", "13", "--g", "0.5"])
+        assert (run.returncode, run.stdout) == (cli.EXIT_SIZE_LIMIT, b"")
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path):
+        argv = ["ground-state", "--sites", "8", "--g", "-0.95", "--format", "json"]
+        path = tmp_path / "state.json"
+        to_stdout, to_file = run_process(argv), run_process(argv + ["--output", str(path)])
+        assert to_stdout.returncode == to_file.returncode == cli.EXIT_OK
+        assert to_file.stdout == b""
+        assert path.read_bytes() == to_stdout.stdout
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, target):
+        # Exit 2, not 1: a verification that passed but could not be written did not fail.
+        path = str(tmp_path / target)
+        run = run_process(["verify", "--sites", "4", "--output", path])
+        assert (run.returncode, run.stdout) == (cli.EXIT_USAGE, b"")
+        (line,) = run.stderr.decode().splitlines()
+        assert line.startswith(f"error: cannot write {path}: ")
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--sites", "4"],
+            ["critical-points", "--sites", "8"],
+            ["entanglement", "--sites", "13", "--g", "0.5"],
+            ["spectrum"],
+        ],
+    )
+    def test_main_leaves_the_collector_as_it_was(self, argv, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        cli.main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or cli.EXIT_SIZE_LIMIT)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == cli.EXIT_SIZE_LIMIT
+        assert calls == ["main", "freeze"]
+
+    def test_script_and_module_launchers_share_entry(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts["xxring"] == "xxring.cli:entry"
+        calls = []
+        monkeypatch.setattr(cli, "entry", lambda: calls.append("entry"))
+        runpy.run_module("xxring", run_name="__main__")
+        assert calls == ["entry"]
+
+
 #: Every option of every subcommand, in declaration order.
 SUBCOMMAND_OPTIONS = {
     "spectrum": [
@@ -467,15 +566,10 @@ class TestRuntimeDependencies:
     @pytest.fixture(scope="class")
     def probe(self, tmp_path_factory):
         out_dir = tmp_path_factory.mktemp("probe")
-        package_root = str(Path(xxring.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [package_root, *filter(None, [env.get("PYTHONPATH")])]
-        )
         commands = "\n".join(" ".join(argv) for argv in CLOSED_FORM_COMMANDS)
         run = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, str(out_dir), commands, ",".join(_HEAVY_STDLIB)],
-            env=env,
+            env=package_env(),
             capture_output=True,
             text=True,
             check=True,

@@ -81,6 +81,8 @@ class CriticalPoint(namedtuple("CriticalPoint", ("n", "g_c"))):
 
 
 def _require_integer(value, what: str) -> None:
+    if type(value) is int:  # the common case, without the slower ABC check
+        return
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
 

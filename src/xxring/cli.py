@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
+import os
 import sys
 
 # Modules, not their names: a from-import of a name would run the
@@ -74,6 +76,17 @@ def _write(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise, before any work and creating nothing, the OSError that opening ``path`` meets."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _emit_table(args: argparse.Namespace, params, columns, rows, metadata=None) -> None:
@@ -173,9 +186,9 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
     g = args.g
     state = statevector.ground_state(n_sites, g)
     n = state.n
-    indices = [index for index in range(1 << n_sites) if index.bit_count() == n]
+    indices = statevector._sector_indices(n_sites, n)
     sector = state.amplitudes[indices]
-    triples = list(zip(indices, sector.real.tolist(), sector.imag.tolist()))
+    triples = list(zip(indices.tolist(), sector.real.tolist(), sector.imag.tolist()))
     params = {"sites": n_sites, "g": float(g)}
     if args.format == "csv":
         _write(_csv_text(("index", "re", "im"), triples, {"fermions": n}), args.output)
@@ -349,10 +362,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        # Field flags were checked before the grid was built; sizes are
-        # checked here, before any heavy work.
+        # Field flags were checked before the grid was built; sizes and the
+        # output target are checked here, before any heavy work.
         for n_sites in args.sites if isinstance(args.sites, tuple) else (args.sites,):
             analytic._validate_sites(n_sites, minimum=3)
+        if args.output is not None:
+            _check_writable(args.output)
         return args.handler(args)
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 For a pure state split into subsystems A and B, the purity of the reduced
 state, Tr rho_A^2, equals the squared Frobenius norm of M M+ where M is
-the amplitude array reshaped to 2^|A| x 2^|B|.  It ranges from 2^-|A| for
+the amplitude array arranged as 2^|A| x 2^|B|.  It ranges from 2^-|A| for
 a maximally mixed reduction up to 1 for a product state, so smaller purity
 means a more entangled cut.  Aggregating the purity over every balanced
 bipartition gives a two-number fingerprint of multipartite entanglement:
@@ -13,7 +13,7 @@ shared).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .statevector import StateVector, ground_state
 SWEEP_CROSSING_RADIUS = 1e-9
 SWEEP_NUDGE = 1e-6
 
+_CHUNK_AMPLITUDES = 1 << 12  # amplitudes gathered per chunk of cuts (at least 4 cuts)
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -45,9 +47,6 @@ class Bipartition:
 
     sites: int
     mask: int
-    #: The amplitude tensor's axes with A's before B's, each side ascending:
-    #: the transpose that ``purity`` applies (axis k is site N-1-k).
-    axes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_sites(self.sites, minimum=3, budget="bipartition enumeration")
@@ -60,9 +59,6 @@ class Bipartition:
                 f"mask selects {size} sites; a balanced split of {self.sites} "
                 f"needs {self.sites // 2} or {(self.sites + 1) // 2}"
             )
-        a_axes = [k for k in range(self.sites) if (self.mask >> (self.sites - 1 - k)) & 1]
-        b_axes = [k for k in range(self.sites) if k not in a_axes]
-        object.__setattr__(self, "axes", (*a_axes, *b_axes))
 
     @property
     def size_a(self) -> int:
@@ -106,42 +102,70 @@ def _balanced_cuts(n_sites: int) -> tuple[Bipartition, ...]:
     )
 
 
+def _index_tables(n_sites: int, masks: list[int]) -> list[np.ndarray]:
+    """Per cut, the basis bits of each row and each column of its amplitude matrix.
+
+    Row bit i stands for the i-th smallest site of A, column bit i for B's.
+    """
+    in_a = (np.array(masks)[:, None] >> np.arange(n_sites)) & 1
+    tables = []
+    for members in (in_a, 1 - in_a):
+        count = int(members[0].sum())
+        sites = np.nonzero(members)[1].reshape(len(masks), count)
+        local_bits = (np.arange(1 << count)[:, None] >> np.arange(count)) & 1
+        tables.append((1 << sites) @ local_bits.T)
+    return tables
+
+
+def _purities(amplitudes: np.ndarray, n_sites: int, masks: list[int]) -> np.ndarray:
+    """Tr rho_A^2 of each cut; every mask selects the same number of sites.
+
+    A chunk of cuts is gathered as amplitudes[rows | cols] at once, and all
+    its Gram matrices come from one stacked product on the smaller side.
+    """
+    rows, cols = _index_tables(n_sites, masks)
+    chunk = max(4, _CHUNK_AMPLITUDES >> n_sites)
+    values = np.empty(len(masks))
+    for start in range(0, len(masks), chunk):
+        part = slice(start, start + chunk)
+        matrices = amplitudes[rows[part, :, None] | cols[part, None, :]]
+        adjoints = matrices.conj().transpose(0, 2, 1)
+        gram = matrices @ adjoints if rows.shape[1] <= cols.shape[1] else adjoints @ matrices
+        values[part] = (np.abs(gram) ** 2).sum(axis=(1, 2))
+    return values
+
+
 def purity(state: StateVector, bipartition: Bipartition) -> float:
     """Tr rho_A^2 of the state reduced to the masked subsystem.
 
-    The amplitudes are viewed as a rank-N tensor of shape (2,) * N, whose
-    axis k is site N-1-k; moving the A axes before the B axes (each kept in
-    ascending order: ``bipartition.axes``) and flattening gives the
-    2^|A| x 2^|B| matrix M with site order preserved on both sides.  The
-    Gram matrix is formed on the smaller side; the purity is its squared
-    Frobenius norm.
+    The squared Frobenius norm of the Gram matrix, on the smaller side, of
+    the 2^|A| x 2^|B| amplitude matrix M[r, c] = amplitudes[rows[r] | cols[c]]:
+    row bit i stands for the i-th smallest site of A, column bit i for the
+    i-th smallest site of B.  This is the one-cut case of the stacked kernel
+    behind ``purity_stats``, so both give the same bits.
     """
     if state.sites != bipartition.sites:
         raise DimensionMismatch(
             f"state has {state.sites} sites but the bipartition has "
             f"{bipartition.sites}"
         )
-    tensor = state.amplitudes.reshape((2,) * state.sites)
-    matrix = tensor.transpose(bipartition.axes).reshape(1 << bipartition.size_a, -1)
-    if matrix.shape[0] <= matrix.shape[1]:
-        gram = matrix @ matrix.conj().T
-    else:
-        gram = matrix.conj().T @ matrix
-    return float((np.abs(gram) ** 2).sum())
+    return float(_purities(state.amplitudes, state.sites, [bipartition.mask])[0])
 
 
 def purity_stats(n_sites: int, g: float) -> PurityStats:
-    """Purity of every balanced cut of the ground state at field g."""
+    """Purity of every balanced cut of the ground state at field g.
+
+    One call of the kernel behind ``purity``: a gather and a stacked Gram
+    product per chunk of cuts, with the bits of ``purity`` on each cut.
+    """
     _validate_sites(n_sites, minimum=3, budget="purity statistics")
     state = ground_state(n_sites, g)
-    values = [
-        (part.mask, purity(state, part)) for part in balanced_bipartitions(n_sites)
-    ]
-    samples = np.array([v for _, v in values])
+    masks = [part.mask for part in _balanced_cuts(int(n_sites))]
+    samples = _purities(state.amplitudes, state.sites, masks)
     return PurityStats(
         g=float(g),
         n=state.n,
-        purities=tuple(values),
+        purities=tuple(zip(masks, samples.tolist())),
         mu=float(samples.mean()),
         sigma=float(samples.std()),
     )

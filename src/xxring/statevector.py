@@ -81,6 +81,12 @@ def slater_amplitude(n_sites: int, modes: ModeSet, positions: Sequence[int]) -> 
     return complex(_slater_amplitudes(n_sites, modes, np.array([pos], dtype=float))[0])
 
 
+def _sector_indices(n_sites: int, n: int) -> np.ndarray:
+    """Basis indices with n bits set, ascending (colexicographic position sets)."""
+    basis = np.arange(1 << n_sites)
+    return basis[np.bitwise_count(basis) == n]
+
+
 def ground_state(n_sites: int, g: float) -> StateVector:
     """Normalized ground state of the N-site ring at field g.
 
@@ -100,12 +106,13 @@ def ground_state(n_sites: int, g: float) -> StateVector:
         amplitudes[dim - 1] = 1.0
         return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)
 
-    # Ascending bitmask order == colexicographic order of position sets;
-    # fixed ordering keeps the output bit-identical however work is split.
-    masks = [m for m in range(dim) if m.bit_count() == n]
-    positions = np.array(
-        [[j for j in range(n_sites) if (m >> j) & 1] for m in masks], dtype=float
-    )
+    masks = _sector_indices(n_sites, n)
+    positions = np.empty((len(masks), n))
+    rest = masks.copy()
+    for k in range(n):  # fermion k sits at the lowest set bit left in the mask
+        lowest = rest & -rest
+        positions[:, k] = np.bitwise_count(lowest - 1)
+        rest ^= lowest
     amplitudes[masks] = _slater_amplitudes(n_sites, occupied_modes(n_sites, n), positions)
     amplitudes /= np.linalg.norm(amplitudes)
     return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)

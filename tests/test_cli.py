@@ -419,6 +419,26 @@ class TestProcess:
         (line,) = run.stderr.decode().splitlines()
         assert line.startswith(f"error: cannot write {path}: ")
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_is_refused_before_the_work(
+        self, tmp_path, target, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli.verify, "run_verification", lambda n: calls.append(n))
+        path = str(tmp_path / target)
+        assert cli.main(["verify", "--sites", "10", "--output", path]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, calls) == ("", [])
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write {path}: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_run_leaves_no_output_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        code = cli.main(["entanglement", "--sites", "5", "--g", "0", "--output", str(path)])
+        assert code == cli.EXIT_USAGE  # g = 0 is a level crossing of N = 5
+        assert not path.exists()
+
 
 class TestEntry:
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ def gathered_matrix(state, part):
     """The 2^|A| x 2^|B| amplitude matrix built by gathering index bits.
 
     Row bit i is the i-th site of A and column bit i the i-th site of B, in
-    ascending site order.  This is the original construction of ``purity``,
-    kept as the reference for its tensor view.
+    ascending site order.  This is the reference for the index tables of the
+    stacked kernel behind ``purity`` and ``purity_stats``.
     """
     n_sites = state.sites
     a_sites = [j for j in range(n_sites) if (part.mask >> j) & 1]
@@ -46,6 +47,12 @@ def gram_purity(matrix):
     else:
         gram = matrix.conj().T @ matrix
     return float(np.sum(np.abs(gram) ** 2))
+
+
+def random_state(rng, n_sites):
+    """A normalized dense complex state with no sector structure."""
+    amplitudes = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
+    return statevector.StateVector(n_sites, 0, amplitudes / np.linalg.norm(amplitudes))
 
 
 def rotated(part):
@@ -127,15 +134,25 @@ class TestBalancedBipartitions:
         first.append(Bipartition(6, 0b111000))
         assert entanglement.balanced_bipartitions(6) == expected
 
-    def test_axes_move_a_before_b(self):
-        # Axis k of the amplitude tensor is site N-1-k.
-        assert Bipartition(5, 0b00110).axes == (2, 3, 0, 1, 4)
-        for n_sites in (4, 7):
-            for part in entanglement.balanced_bipartitions(n_sites):
-                a_axes = part.axes[: part.size_a]
-                assert sorted(a_axes) == list(a_axes)
-                assert sorted(part.axes[part.size_a :]) == list(part.axes[part.size_a :])
-                assert sum(1 << (n_sites - 1 - k) for k in a_axes) == part.mask
+    def test_index_tables_pin_row_and_column_bits(self):
+        # A = {1, 2} and B = {0, 3, 4}: row bit i is the i-th smallest site
+        # of A, column bit i the i-th smallest site of B.
+        rows, cols = entanglement._index_tables(5, [0b00110])
+        assert rows.tolist() == [[0b00000, 0b00010, 0b00100, 0b00110]]
+        assert cols.tolist() == [
+            [0b00000, 0b00001, 0b01000, 0b01001, 0b10000, 0b10001, 0b11000, 0b11001]
+        ]
+
+    @pytest.mark.parametrize("n_sites", [3, 4, 5, 7, 8])
+    def test_index_tables_gather_the_reference_matrix(self, n_sites):
+        state = random_state(np.random.default_rng(n_sites), n_sites)
+        full = (1 << n_sites) - 1
+        for part in entanglement.balanced_bipartitions(n_sites):
+            for mask in (part.mask, part.mask ^ full):
+                rows, cols = entanglement._index_tables(n_sites, [mask])
+                gathered = state.amplitudes[rows[0][:, None] | cols[0][None, :]]
+                expected = gathered_matrix(state, Bipartition(n_sites, mask))
+                assert np.array_equal(gathered, expected)
 
 
 class TestPurity:
@@ -229,6 +246,54 @@ class TestPurity:
         state = statevector.ground_state(6, -0.5)
         with pytest.raises(DimensionMismatch):
             entanglement.purity(state, Bipartition(sites=8, mask=0b00001111))
+
+
+class TestStackedKernel:
+    """``purity`` and ``purity_stats`` against the per-cut gather reference."""
+
+    @pytest.mark.parametrize("chunk_amplitudes", [entanglement._CHUNK_AMPLITUDES, 1])
+    @pytest.mark.parametrize("n_sites", range(3, 13))
+    def test_random_states_keep_the_per_cut_bits(self, n_sites, chunk_amplitudes, monkeypatch):
+        # chunk_amplitudes = 1 runs four cuts per chunk at every N, so N = 5
+        # (10 cuts) and N = 7 (35 cuts) end on a partial chunk.
+        monkeypatch.setattr(entanglement, "_CHUNK_AMPLITUDES", chunk_amplitudes)
+        state = random_state(np.random.default_rng(100 + n_sites), n_sites)
+        monkeypatch.setattr(entanglement, "ground_state", lambda n, g: state)
+        parts = entanglement.balanced_bipartitions(n_sites)
+        reference = [gram_purity(gathered_matrix(state, part)) for part in parts]
+        stats = entanglement.purity_stats(n_sites, 0.3)
+        assert stats.purities == tuple((part.mask, value) for part, value in zip(parts, reference))
+        assert stats.mu == float(np.array(reference).mean())
+        assert stats.sigma == float(np.array(reference).std())
+        assert [entanglement.purity(state, part) for part in parts] == reference
+
+    @pytest.mark.parametrize("n_sites", [3, 5, 7, 9, 11])
+    def test_larger_side_cuts_keep_the_per_cut_bits(self, n_sites):
+        # The complements of odd-N cuts put the larger side in A, so the
+        # Gram matrix is formed as M+ M.
+        state = random_state(np.random.default_rng(200 + n_sites), n_sites)
+        full = (1 << n_sites) - 1
+        parts = [
+            Bipartition(n_sites, part.mask ^ full)
+            for part in entanglement.balanced_bipartitions(n_sites)
+        ]
+        reference = [gram_purity(gathered_matrix(state, part)) for part in parts]
+        assert [entanglement.purity(state, part) for part in parts] == reference
+        stacked = entanglement._purities(state.amplitudes, n_sites, [p.mask for p in parts])
+        assert stacked.tolist() == reference
+
+    @pytest.mark.parametrize(("n_sites", "limit"), [(10, 512 << 10), (12, 2 << 20)])
+    def test_traced_peak_stays_bounded(self, n_sites, limit):
+        # numpy reports its buffers to tracemalloc, so a larger chunk of
+        # gathered matrices shows up here.
+        entanglement.purity_stats(n_sites, 0.05)  # fill the per-N caches first
+        tracemalloc.start()
+        try:
+            entanglement.purity_stats(n_sites, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
 
 class TestPurityProperties:

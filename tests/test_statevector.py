@@ -150,3 +150,26 @@ class TestGroundState:
         g_c = analytic.critical_points(6)[2].g_c
         with pytest.raises(DegenerateAtCrossing):
             statevector.ground_state(6, g_c)
+
+    @pytest.mark.parametrize("n_sites", range(3, 15))
+    def test_sector_enumeration_is_the_bit_count_scan(self, n_sites):
+        for n in range(n_sites + 1):
+            indices = statevector._sector_indices(n_sites, n)
+            assert indices.tolist() == [m for m in range(1 << n_sites) if m.bit_count() == n]
+
+    @pytest.mark.parametrize(
+        "n_sites,g", [(4, 0.3), (9, -0.1), (12, 0.05), (13, 0.2), (14, -0.003)]
+    )
+    def test_vector_enumeration_keeps_the_loop_bits(self, n_sites, g):
+        # The assembly as it stood with Python loops over the 2^N indices.
+        n = analytic.ground_sector(n_sites, g)
+        masks = [m for m in range(1 << n_sites) if m.bit_count() == n]
+        positions = np.array(
+            [[j for j in range(n_sites) if (m >> j) & 1] for m in masks], dtype=float
+        )
+        expected = np.zeros(1 << n_sites, dtype=complex)
+        expected[masks] = statevector._slater_amplitudes(
+            n_sites, analytic.occupied_modes(n_sites, n), positions
+        )
+        expected /= np.linalg.norm(expected)
+        assert np.array_equal(statevector.ground_state(n_sites, g).amplitudes, expected)

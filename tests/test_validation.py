@@ -1,5 +1,6 @@
 """Every public entry point shares one domain check and one size table."""
 
+import enum
 import math
 import warnings
 from typing import Callable, NamedTuple
@@ -189,6 +190,15 @@ class TestRingValidator:
         analytic._validate_sites(5, minimum=3, budget="sector reassembly audit")
         analytic._validate_sites(np.int64(5), minimum=3)
         analytic._validate_field(-0.3)
+
+    @pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5), enum.IntEnum("E", "A").A])
+    def test_integer_check_takes_every_integral(self, value):
+        analytic._require_integer(value, "size")
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 5.0, "5", None])
+    def test_integer_check_refuses_bool_and_non_integers(self, value):
+        with pytest.raises(TypeError, match="size must be an integer"):
+            analytic._require_integer(value, "size")
 
 
 class TestProperties:

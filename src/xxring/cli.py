@@ -4,7 +4,8 @@ Emits CSV or JSON tables for the spectrum, critical points, envelope,
 ground-state vectors, and entanglement statistics, plus a ``verify``
 command that runs the dense-oracle cross-checks.  Output is byte-for-byte
 reproducible: fixed row order, 17 significant digits, LF line endings, no
-environment lookups.
+environment lookups; the process entry point writes one BLAS thread into
+the environment and reads nothing from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 ``--output`` path that cannot be written), 3 size or resource limit.
@@ -388,6 +389,12 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run the CLI as a process: ``main()``, then exit with its code.
 
+    BLAS runs on one thread, set before numpy loads: LAPACK's blocked solves
+    and the BLAS norm split their sums by thread count, so ``verify --sites
+    10`` and ``ground-state --sites 14`` would otherwise print other last
+    digits on other thread counts.  ``main()`` leaves the environment alone,
+    so in-process callers keep their own threads.
+
     ``gc.freeze()`` before the exit moves every live object into the
     permanent generation, so the cyclic collections of interpreter shutdown
     scan nothing; with numpy loaded they cost about 30 ms of each process.
@@ -395,6 +402,7 @@ def entry() -> None:
     by then.  ``main()`` does not freeze: tests and library callers run it
     in-process, where a freeze would pin every object of their session.
     """
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = main()
     gc.freeze()
     sys.exit(code)

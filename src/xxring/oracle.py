@@ -12,14 +12,14 @@ diagonal scalings are gathers (the bit-operation form of A. W. Sandvik,
 arXiv:1101.3281, sec. 4.1).  The Hamiltonian is a list of such terms: the
 field diagonal and one hopping per bond (``hamiltonian_terms``), or the
 fermion-operator form (``jw_terms``); the dense builds are their sums.  The
-mode-number forms of the sector audit are sums of monomial hoppings
-c_i+ c_j.  The parity operator is diagonal and is returned as its vector of
-+-1 entries.  The eigensolvers take a dense matrix or a term list, list its
-nonzero entries, refuse a matrix that is not square, finite and Hermitian
-(real for the eigenpair) and solve each block of its off-diagonal pattern on
-its own (H. Q. Lin, PRB 42, 6561 (1990)): the XX ring's fermion-number
-sectors.  Only the ground block gets eigenvectors; a field sweep reuses one
-block solve.
+sector audit's two mode-number forms fold into N^2 + 1 terms, one hopping
+c_i+ c_j per site pair (``sector_reassembly``).  The parity operator is
+diagonal and is returned as its vector of +-1 entries.  The eigensolvers
+take a dense matrix or a term list, list its nonzero entries, refuse a
+matrix that is not square, finite and Hermitian (real for the eigenpair) and
+solve each block of its off-diagonal pattern on its own (H. Q. Lin, PRB 42,
+6561 (1990)): the XX ring's fermion-number sectors.  Only the ground block
+gets eigenvectors; a field sweep reuses one block solve.
 """
 
 from __future__ import annotations
@@ -123,11 +123,28 @@ class Monomial:
         return dense
 
     @staticmethod
-    def max_abs_sum(terms: list[Monomial]) -> float:
-        """Largest |entry| of the sum of the terms, summed over their nonzero cells only.
+    def merged(terms: list[Monomial]) -> list[Monomial]:
+        """The terms with one target folded into one term each, in order of first appearance.
 
-        Each cell adds its coefficients in the order of the terms, as
-        dense_sum does; complex coefficients are summed part by part.
+        A folded term adds its coefficients in the order given, so every cell
+        those terms share is summed once before any solve.
+        """
+        folded = {}
+        for term in terms:
+            key = term.target.tobytes()
+            first = folded.setdefault(key, term)
+            if first is not term:
+                folded[key] = Monomial(term.target, first.coeff + term.coeff)
+        return list(folded.values())
+
+    @staticmethod
+    def max_abs_sum(terms: list[Monomial]) -> tuple[float, tuple[int, int] | None]:
+        """Largest |entry| of the sum of the terms, and its (row, column).
+
+        Only the terms' nonzero cells are summed, each adding its
+        coefficients in the order of the terms, as dense_sum does; complex
+        coefficients are summed part by part.  The cell is the first worst
+        one in row-major order, None when no coefficient is nonzero.
         """
         dim = terms[0].target.size
         flat, coeff = [], []
@@ -137,8 +154,10 @@ class Monomial:
             coeff.append(term.coeff[nonzero])
         cells, slot = np.unique(np.concatenate(flat), return_inverse=True)
         if not cells.size:
-            return 0.0
-        return float(np.abs(_sums(slot, np.concatenate(coeff), cells.size)).max())
+            return 0.0, None
+        sums = np.abs(_sums(slot, np.concatenate(coeff), cells.size))
+        worst = int(sums.argmax())
+        return float(sums[worst]), divmod(int(cells[worst]), dim)
 
 
 @dataclass(frozen=True)
@@ -403,29 +422,33 @@ def ground_eigenpair(hamiltonian) -> GroundEigenpair:
     return next(ground_eigenpairs([hamiltonian]))
 
 
-def sector_reassembly(n_sites: int, g: float) -> np.ndarray:
-    """The sum of the two parity-projected diagonal forms, as one dense matrix.
+def sector_reassembly(n_sites: int, g: float) -> list[Monomial]:
+    """The sum of the two parity-projected diagonal forms, as N^2 + 1 monomials.
 
     For each offset alpha, -2 sum_k (n_k - 1/2) w_k with w_k = g - cos_k is
     sum_ij T_ij c_i+ c_j + (sum_k w_k) I, where T_ij = -(2/N) sum_k w_k
-    e^{2 pi i (k+alpha)(i-j)/N}.  Each projected hopping P c_i+ c_j P is a
-    monomial; only the sum of the 2(N^2 + 1) terms is made dense.  It must
-    equal build_spin_hamiltonian entrywise.
+    e^{2 pi i (k+alpha)(i-j)/N}, projected on its parity sector.  A hopping
+    conserves the fermion number, so P c_i+ c_j P is c_i+ c_j with P on its
+    columns: term (i, j) is c_i+ c_j with each column scaled by the T_ij of
+    that column's sector, and the last term holds each sector's sum_k w_k on
+    the diagonal.  Their sum must equal hamiltonian_terms' entrywise.
     """
     _validate_sites(n_sites, minimum=3, budget="sector reassembly audit")
     _validate_field(g)
     cs = [Monomial.annihilation(n_sites, j) for j in range(n_sites)]
-    hops = [[c_i.T @ c_j for c_j in cs] for c_i in cs]
-    parity = build_parity_operator(n_sites)
+    odd = (build_parity_operator(n_sites) < 0).astype(np.intp)  # 0: alpha = 0, 1: alpha = 1/2
     sites = np.arange(n_sites)
     separation = sites[:, None] - sites
-    terms = []
-    for alpha, projector in ((0.0, (1.0 + parity) / 2.0), (0.5, (1.0 - parity) / 2.0)):
+    hopping, constant = [], []
+    for alpha in (0.0, 0.5):
         weights = np.array([g - mode_cosine(n_sites, alpha, k) for k in range(n_sites)])
         phases = np.exp(2j * np.pi * np.multiply.outer(separation, sites + alpha) / n_sites)
-        hopping = -(2.0 / n_sites) * (phases @ weights)
-        project = Monomial.identity(1 << n_sites).scaled(projector)
-        for i, j in np.ndindex(n_sites, n_sites):
-            terms.append((project @ hops[i][j] @ project).scaled(hopping[i, j]))
-        terms.append((project @ project).scaled(weights.sum()))
-    return Monomial.dense_sum(terms)
+        hopping.append(-(2.0 / n_sites) * (phases @ weights))
+        constant.append(weights.sum())
+    hopping, constant = np.array(hopping), np.array(constant)  # indexed by sector first
+    terms = []
+    for i, j in np.ndindex(n_sites, n_sites):
+        hop = cs[i].T @ cs[j]
+        terms.append(Monomial(hop.target, hop.coeff * hopping[odd, i, j]))
+    terms.append(Monomial(np.arange(1 << n_sites), constant[odd]))
+    return terms

@@ -2,12 +2,12 @@
 
 Each check compares an independent construction against the closed-form
 modules (or one operator build against another) and reports the worst
-deviation with its tolerance.  The checks work on monomial terms: the
-Hamiltonian as ``oracle.hamiltonian_terms`` and ``oracle.jw_terms``, and the
-site-operator pairs stacked into one block-diagonal monomial per check.  Only
-the sector reassembly, capped below the suite, builds dense matrices.  The
-CLI's ``verify`` command runs every check, lists each failed one, and exits 1
-if any failed.
+deviation with its tolerance.  Every check works on monomial terms, in
+memory of order N 2^N: the Hamiltonian as ``oracle.hamiltonian_terms`` and
+``oracle.jw_terms``, the sector reassembly as ``oracle.sector_reassembly``,
+and the site-operator pairs stacked one row at a time into a block-diagonal
+monomial.  No check builds a dense 2^N x 2^N matrix.  The CLI's ``verify``
+command runs every check, lists each failed one, and exits 1 if any failed.
 """
 
 from __future__ import annotations
@@ -81,44 +81,65 @@ def default_field_grid(n_sites: int) -> list[float]:
     return [g for g in grid if min(abs(g - gc) for gc in fields) > CROSSING_EXCLUSION]
 
 
-def _stacked_products(pairs, lefts, rights):
-    """[A_i B_j, B_j A_i] over the pairs (i, j), each stacked as the blocks of one direct sum."""
-    firsts = oracle.Monomial.direct_sum([lefts[i] for i, _ in pairs])
-    seconds = oracle.Monomial.direct_sum([rights[j] for _, j in pairs])
-    return [firsts @ seconds, seconds @ firsts]
+def _worst_pair(lefts, rights, signs, deltas):
+    """Worst |A_i B_j + s_ij B_j A_i - d_ij 1| over the pairs (i, j), and a pair that holds it.
+
+    Row i stacks its pairs as the blocks of one direct sum, so one
+    max_abs_sum covers the row, and the block of its worst cell names j.
+    Rows are summed one at a time, so only len(rights) blocks live at once.
+    The pair is None when no coefficient is nonzero.
+    """
+    dim = lefts[0].target.size
+    seconds = oracle.Monomial.direct_sum(rights)
+    diagonal = np.arange(len(rights) * dim)
+    rows = []
+    for i, left in enumerate(lefts):
+        firsts = oracle.Monomial.direct_sum([left] * len(rights))
+        backward = (seconds @ firsts).scaled(np.repeat(signs[i], dim))
+        minus_delta = oracle.Monomial(diagonal, -np.repeat(deltas[i], dim))
+        rows.append(oracle.Monomial.max_abs_sum([firsts @ seconds, backward, minus_delta]))
+    i = int(np.argmax([deviation for deviation, _ in rows]))  # the first NaN, if any
+    deviation, cell = rows[i]
+    return deviation, None if cell is None else (i, cell[1] // dim)
 
 
 def check_pauli_site_algebra(n_sites: int) -> CheckResult:
     """Raising/lowering operators anticommute on site, commute off site.
 
-    The N^2 site pairs are stacked, so one max_abs_sum gives the worst entry
-    over all of them.
+    The N site pairs of each row are stacked, so one max_abs_sum per row
+    gives the worst entry; a failed check names its site pair.
     """
     dim = 1 << n_sites
     plus = [
         oracle.Monomial.site(oracle.SIGMA_MINUS.T, j, n_sites, flip=True)
         for j in range(n_sites)
     ]
-    forward, backward = _stacked_products(list(np.ndindex(n_sites, n_sites)), plus, plus)
     signs = 2.0 * np.eye(n_sites) - 1.0  # + on site, - off site
-    worst = oracle.Monomial.max_abs_sum([forward, backward.scaled(np.repeat(signs, dim))])
-    return _result("pauli_site_algebra", worst, OPERATOR_TOLERANCE, sites=n_sites, dim=dim)
+    worst, pair = _worst_pair(plus, plus, signs, np.zeros((n_sites, n_sites)))
+    detail = {"sites": n_sites, "dim": dim}
+    if not worst <= OPERATOR_TOLERANCE:
+        detail["pair"] = list(pair)
+    return _result("pauli_site_algebra", worst, OPERATOR_TOLERANCE, **detail)
 
 
 def check_jw_anticommutation(n_sites: int) -> CheckResult:
     """{c_i, c_j} = 0, {c_i+, c_j+} = 0, {c_i, c_j+} = delta_ij.
 
-    Both anticommutators of all N^2 pairs are stacked, so one max_abs_sum
-    gives the worst entry over all of them.
+    Both anticommutators of the N pairs of each row are stacked, so one
+    max_abs_sum per row gives the worst entry; a failed check names its
+    site pair and anticommutator.
     """
     cs = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
-    # Block (i, j) holds {c_i, c_j}, and block (i, N + j) holds {c_i, c_j+}.
-    pairs = list(np.ndindex(n_sites, 2 * n_sites))
-    products = _stacked_products(pairs, cs, cs + [c.T for c in cs])
-    delta = np.eye(n_sites, 2 * n_sites, n_sites)
-    minus_delta = oracle.Monomial(np.arange(len(pairs) << n_sites), -np.repeat(delta, 1 << n_sites))
-    worst = oracle.Monomial.max_abs_sum(products + [minus_delta])
-    return _result("jw_anticommutation", worst, OPERATOR_TOLERANCE, sites=n_sites)
+    # Block j of row i holds {c_i, c_j}, and block N + j holds {c_i, c_j+}.
+    signs = np.ones((n_sites, 2 * n_sites))
+    deltas = np.eye(n_sites, 2 * n_sites, n_sites)
+    worst, pair = _worst_pair(cs, cs + [c.T for c in cs], signs, deltas)
+    detail = {"sites": n_sites}
+    if not worst <= OPERATOR_TOLERANCE:
+        i, j = pair
+        detail["pair"] = [i, j % n_sites]
+        detail["anticommutator"] = "{c_i, c_j+}" if j >= n_sites else "{c_i, c_j}"
+    return _result("jw_anticommutation", worst, OPERATOR_TOLERANCE, **detail)
 
 
 def check_boundary_operator(n_sites: int) -> CheckResult:
@@ -129,7 +150,7 @@ def check_boundary_operator(n_sites: int) -> CheckResult:
     c_n = string @ oracle.Monomial.site(oracle.SIGMA_MINUS, 0, n_sites, flip=True)
     hole_parity = -oracle.build_parity_operator(n_sites)  # (-1)^(#down)
     c_0 = oracle.Monomial.annihilation(n_sites, 0)
-    deviation = oracle.Monomial.max_abs_sum([c_n, c_0.scaled(-hole_parity)])
+    deviation, _ = oracle.Monomial.max_abs_sum([c_n, c_0.scaled(-hole_parity)])
     return _result("boundary_operator", deviation, OPERATOR_TOLERANCE, sites=n_sites)
 
 
@@ -140,31 +161,35 @@ def check_parity_commutes(n_sites: int, g: float) -> CheckResult:
         oracle.Monomial(term.target, (parity[term.target] - parity) * term.coeff)
         for term in oracle.hamiltonian_terms(n_sites, g)
     ]
-    deviation = oracle.Monomial.max_abs_sum(commutators)
+    deviation, _ = oracle.Monomial.max_abs_sum(commutators)
     return _result("parity_commutes", deviation, OPERATOR_TOLERANCE, sites=n_sites, g=g)
 
 
 def check_jw_equals_pauli(n_sites: int, g: float) -> CheckResult:
     """The Jordan-Wigner terms sum to the Pauli terms entrywise."""
     negated = [term.scaled(-1.0) for term in oracle.hamiltonian_terms(n_sites, g)]
-    deviation = oracle.Monomial.max_abs_sum(oracle.jw_terms(n_sites, g) + negated)
+    deviation, _ = oracle.Monomial.max_abs_sum(oracle.jw_terms(n_sites, g) + negated)
     return _result("jw_equals_pauli", deviation, JW_EQUALITY_TOLERANCE, sites=n_sites, g=g)
 
 
 def check_sector_reassembly(n_sites: int, g: float) -> CheckResult:
     """The parity-projected diagonal forms sum back to H, entrywise and in spectrum.
 
-    A failed check names the (row, column) of the worst entry.
+    Both sides stay monomial terms: the entries are max_abs_sum of the
+    reassembly R minus hamiltonian_terms, and the spectra those of H and of
+    (R + R^+)/2, its cells merged before the solve.  A failed check names
+    the (row, column) of the worst entry.
     """
     reassembled = oracle.sector_reassembly(n_sites, g)  # refuses over-budget sizes first
-    ham = oracle.build_spin_hamiltonian(n_sites, g)
-    deviation = np.abs(reassembled - ham)
-    hermitian = (reassembled + reassembled.conj().T) / 2
+    ham = oracle.hamiltonian_terms(n_sites, g)
+    deviation, entry = oracle.Monomial.max_abs_sum(reassembled + [t.scaled(-1.0) for t in ham])
+    adjoint = [oracle.Monomial(t.target, t.coeff.conj()).T for t in reassembled]
+    hermitian = oracle.Monomial.merged([t.scaled(0.5) for t in reassembled + adjoint])
     spectrum = np.abs(oracle.eigvalsh(ham) - oracle.eigvalsh(hermitian)).max()
     detail = {"sites": n_sites, "g": g}
-    if deviation.max() > SECTOR_AUDIT_TOLERANCE:
-        detail["entry"] = list(divmod(int(deviation.argmax()), len(ham)))
-    worst = max(deviation.max(), spectrum)
+    if not deviation <= SECTOR_AUDIT_TOLERANCE:
+        detail["entry"] = list(entry)
+    worst = max(deviation, spectrum)
     return _result("sector_reassembly", worst, SECTOR_AUDIT_TOLERANCE, **detail)
 
 
@@ -221,8 +246,8 @@ def run_verification(n_sites: int) -> VerificationReport:
     Operator-level audits run at SPOT_FIELDS; the energy and state
     comparisons share one term build per point of the default grid, one
     block solve for the whole grid and one analytic state per sector.  The
-    sector reassembly is the one check with a size cap below the suite's,
-    and the only one that builds dense matrices; it is skipped above it.
+    sector reassembly is the one check with a size cap below the suite's;
+    it is skipped above it.
     """
     _validate_sites(n_sites, minimum=3, budget="verification suite")
     checks: list[CheckResult] = [

@@ -358,14 +358,14 @@ class TestExitCodes:
         assert json.loads(default[1])["passed"] is True
 
     def test_verify_fails_on_corrupted_hamiltonian(self, tmp_path, monkeypatch, capsys):
-        true_build = oracle.build_spin_hamiltonian
+        true_terms = oracle.hamiltonian_terms
 
         def corrupted(n_sites, g):
-            ham = true_build(n_sites, g)
-            ham[1, 2] = ham[2, 1] = +1.0
-            return ham
+            terms = true_terms(n_sites, g)
+            terms[1].coeff[[1, 2]] = +1.0  # flipped hopping sign between states 1 and 2
+            return terms
 
-        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        monkeypatch.setattr(oracle, "hamiltonian_terms", corrupted)
         code, data = run_cli(["verify", "--sites", "4"], tmp_path, "bad.json")
         assert code == cli.EXIT_VERIFY_FAILED
         payload = json.loads(data)
@@ -419,6 +419,26 @@ class TestProcess:
         (line,) = run.stderr.decode().splitlines()
         assert line.startswith(f"error: cannot write {path}: ")
 
+    def test_bytes_do_not_follow_the_blas_threads(self):
+        # Both commands print other last digits on 2 BLAS threads unless the
+        # entry point pins one; the ground state's golden digest is the
+        # 1-thread one.
+        def run_on(threads, argv):
+            env = package_env()
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-m", "xxring", *argv], env=env, capture_output=True
+            )
+            assert (run.returncode, run.stderr) == (cli.EXIT_OK, b"")
+            return run.stdout
+
+        ground = run_on("2", ["ground-state", "--sites", "14", "--g=-0.003267", "--format", "json"])
+        assert hashlib.sha256(ground).hexdigest() == (
+            "064c7022367b072fae5ad5b3afe81b7b5af3cadb425a9775a57232a6f7c92e6f"
+        )
+        verify_argv = ["verify", "--sites", "10"]
+        assert run_on("1", verify_argv) == run_on("2", verify_argv)
+
     @pytest.mark.parametrize("target", ["missing/report.json", "."])
     def test_unwritable_output_is_refused_before_the_work(
         self, tmp_path, target, monkeypatch, capsys
@@ -440,6 +460,9 @@ class TestProcess:
         assert not path.exists()
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestEntry:
     @pytest.mark.parametrize(
         "argv",
@@ -455,14 +478,25 @@ class TestEntry:
         cli.main(argv)
         assert (gc.isenabled(), gc.get_freeze_count()) == before
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--sites", "4"], ["critical-points", "--sites", "8"]]
+    )
+    def test_main_leaves_the_environment_alone(self, argv, capsys):
+        before = dict(os.environ)
+        cli.main(argv)
+        assert dict(os.environ) == before
+
     def test_entry_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or cli.EXIT_SIZE_LIMIT)
         monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.setenv(name, "2")  # restored when the test ends
         with pytest.raises(SystemExit) as exited:
             cli.entry()
         assert exited.value.code == cli.EXIT_SIZE_LIMIT
         assert calls == ["main", "freeze"]
+        assert [os.environ[name] for name in BLAS_THREAD_VARIABLES] == ["1", "1", "1"]
 
     def test_script_and_module_launchers_share_entry(self, monkeypatch):
         tomllib = pytest.importorskip("tomllib")

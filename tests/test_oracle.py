@@ -311,17 +311,61 @@ class TestSpectrumSymmetry:
         assert np.abs(direct + flipped[::-1]).max() <= 1e-10
 
 
+def parent_sector_reassembly(n_sites, g):
+    """The dense build the term form replaced: 2(N^2 + 1) projected products, summed dense.
+
+    For each offset, P c_i+ c_j P scaled by T_ij and P scaled by sum_k w_k,
+    with P the offset's diagonal parity projector.
+    """
+    cs = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+    parity = oracle.build_parity_operator(n_sites)
+    sites = np.arange(n_sites)
+    separation = sites[:, None] - sites
+    terms = []
+    for alpha, projector in ((0.0, (1.0 + parity) / 2.0), (0.5, (1.0 - parity) / 2.0)):
+        weights = np.array([g - analytic.mode_cosine(n_sites, alpha, k) for k in range(n_sites)])
+        phases = np.exp(2j * np.pi * np.multiply.outer(separation, sites + alpha) / n_sites)
+        hopping = -(2.0 / n_sites) * (phases @ weights)
+        project = oracle.Monomial.identity(1 << n_sites).scaled(projector)
+        for i, j in np.ndindex(n_sites, n_sites):
+            terms.append((project @ (cs[i].T @ cs[j]) @ project).scaled(hopping[i, j]))
+        terms.append((project @ project).scaled(weights.sum()))
+    return oracle.Monomial.dense_sum(terms)
+
+
+def corrupt_hamiltonian_terms(monkeypatch, bond, columns):
+    """Set the given columns of one bond's hopping term of hamiltonian_terms to +1."""
+    true_terms = oracle.hamiltonian_terms
+
+    def corrupted(n_sites, g):
+        terms = true_terms(n_sites, g)
+        terms[1 + bond].coeff[columns] = +1.0
+        return terms
+
+    monkeypatch.setattr(oracle, "hamiltonian_terms", corrupted)
+
+
 class TestSectorReassembly:
     @pytest.mark.parametrize("n_sites,g", [(4, 0.5), (5, -0.3)])
     def test_reassembles_hamiltonian(self, n_sites, g):
-        reassembled = oracle.sector_reassembly(n_sites, g)
+        terms = oracle.sector_reassembly(n_sites, g)
+        assert len(terms) == n_sites**2 + 1
+        reassembled = oracle.Monomial.dense_sum(terms)
         ham = oracle.build_spin_hamiltonian(n_sites, g)
         assert np.abs(reassembled - ham).max() <= 1e-11
+
+    @pytest.mark.parametrize("g", verify.SPOT_FIELDS)
+    @pytest.mark.parametrize("n_sites", range(3, 9))
+    def test_terms_sum_to_the_dense_build_they_replace(self, n_sites, g):
+        # Entry for entry, with -0.0 counted as 0.0 (array_equal does).
+        terms = oracle.sector_reassembly(n_sites, g)
+        reassembled = oracle.Monomial.dense_sum(terms)
+        assert np.array_equal(reassembled, parent_sector_reassembly(n_sites, g))
 
     @pytest.mark.parametrize("g", [0.7, -0.4, 0.5, -0.3])
     @pytest.mark.parametrize("n_sites", range(3, 7))
     def test_monomial_reassembly_equals_dense_mode_numbers(self, n_sites, g):
-        reassembled = oracle.sector_reassembly(n_sites, g)
+        reassembled = oracle.Monomial.dense_sum(oracle.sector_reassembly(n_sites, g))
         parity = oracle.build_parity_operator(n_sites)
         forms = []
         for alpha, sector in ((0.0, 1.0), (0.5, -1.0)):
@@ -335,16 +379,10 @@ class TestSectorReassembly:
             oracle.sector_reassembly(9, 0.1)
 
     def test_mismatch_reported(self, monkeypatch):
-        # Corrupt one matrix element of the reference build; the audit must
-        # name the deviating entry instead of passing silently.
-        true_build = oracle.build_spin_hamiltonian
-
-        def corrupted(n_sites, g):
-            ham = true_build(n_sites, g)
-            ham[0, 3] = ham[3, 0] = +1.0
-            return ham
-
-        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        # Couple the vacuum to the state with sites 0 and 1 filled through
+        # bond (0, 1), both ways; the audit must name the deviating entry
+        # instead of passing silently.
+        corrupt_hamiltonian_terms(monkeypatch, bond=0, columns=[0, 3])
         result = verify.check_sector_reassembly(4, 0.5)
         assert not result.passed
         assert result.max_deviation >= 0.5
@@ -391,7 +429,10 @@ class TestMonomialOperators:
             assert np.array_equal(dense(a.scaled(-0.5)), -0.5 * dense(a))
             terms = [a @ b, (b.T @ a).scaled(0.5), eye.scaled(-1.0)]
             total = dense(a) @ dense(b) + 0.5 * dense(b).T @ dense(a) - np.eye(1 << n_sites)
-            assert oracle.Monomial.max_abs_sum(terms) == np.abs(total).max()
+            worst, cell = oracle.Monomial.max_abs_sum(terms)
+            assert worst == np.abs(total).max()
+            assert abs(total[cell]) == worst
+            assert cell == np.unravel_index(np.abs(total).argmax(), total.shape)
             assert np.array_equal(oracle.Monomial.dense_sum(terms), total)
 
     def test_max_abs_sum_of_complex_terms(self):
@@ -400,8 +441,23 @@ class TestMonomialOperators:
         eye = oracle.Monomial.identity(1 << n_sites)
         for a, b in itertools.product(ops, repeat=2):
             terms = [(a @ b.T).scaled(0.5 + 2j), (b.T @ a).scaled(-1.5j), eye.scaled(np.exp(0.3j))]
-            total = np.abs(oracle.Monomial.dense_sum(terms)).max()
-            assert oracle.Monomial.max_abs_sum(terms) == total
+            total = np.abs(oracle.Monomial.dense_sum(terms))
+            cell = np.unravel_index(total.argmax(), total.shape)
+            assert oracle.Monomial.max_abs_sum(terms) == (total.max(), cell)
+
+    def test_max_abs_sum_of_empty_terms(self):
+        empty = oracle.Monomial(np.arange(8), np.zeros(8))
+        assert oracle.Monomial.max_abs_sum([empty, empty.scaled(-1.0)]) == (0.0, None)
+
+    def test_merged_folds_equal_targets_in_order(self):
+        n_sites = 4
+        cs = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+        hops = [(cs[i].T @ cs[j]).scaled(0.5 + i - 2j * j) for i, j in np.ndindex(4, 4)]
+        merged = oracle.Monomial.merged(hops)
+        # c_i+ c_j and c_j+ c_i share one target, and every c_i+ c_i is diagonal.
+        assert len(merged) == n_sites * (n_sites - 1) // 2 + 1
+        assert np.array_equal(merged[0].target, np.arange(1 << n_sites))
+        assert np.array_equal(oracle.Monomial.dense_sum(merged), oracle.Monomial.dense_sum(hops))
 
     def test_direct_sums_multiply_block_by_block(self):
         n_sites = 4

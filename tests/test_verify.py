@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -185,25 +186,26 @@ class TestChecks:
         assert result.detail == {"sites": n_sites, "g": g}
 
     def test_reassembly_check_reports_mismatch(self, monkeypatch):
-        # Corrupt one symmetric pair of the reference build; the check must
-        # fail and name the deviating entry instead of passing silently.
-        true_build = oracle.build_spin_hamiltonian
+        # Flip the sign of one symmetric pair of the reference terms; the
+        # check must fail and name the deviating entry instead of passing
+        # silently.
+        true_terms = oracle.hamiltonian_terms
 
         def corrupted(n_sites, g):
-            ham = true_build(n_sites, g)
-            ham[1, 2] = ham[2, 1] = +1.0  # flipped hopping sign
-            return ham
+            terms = true_terms(n_sites, g)
+            terms[1].coeff[[1, 2]] = +1.0  # bond (0, 1) between states 1 and 2
+            return terms
 
-        monkeypatch.setattr(oracle, "build_spin_hamiltonian", corrupted)
+        monkeypatch.setattr(oracle, "hamiltonian_terms", corrupted)
         result = verify.check_sector_reassembly(4, 0.5)
         assert not result.passed
         assert result.max_deviation >= 0.5
         assert result.detail["entry"] == [1, 2]
 
-
-    @pytest.mark.parametrize("n_sites", [9, 10])
+    @pytest.mark.parametrize("n_sites", range(3, 11))
     def test_no_dense_hamiltonian_above_the_reassembly_cap(self, n_sites, monkeypatch):
-        # Above the sector reassembly's cap, every check works on terms.
+        # Every check works on terms at every size, the sector reassembly
+        # below its cap too.
         def refuse(*args, **kwargs):
             raise AssertionError("a dense Hamiltonian was built")
 
@@ -212,7 +214,96 @@ class TestChecks:
         monkeypatch.setattr(oracle, "build_jw_hamiltonian", refuse)
         report = verify.run_verification(n_sites)
         assert report.passed
-        assert "sector_reassembly" not in {check.name for check in report.checks}
+        audited = n_sites <= analytic.SIZE_LIMITS["sector reassembly audit"]
+        assert ("sector_reassembly" in {check.name for check in report.checks}) == audited
+
+
+#: Traced peak bytes of each check, about 1.5 times what it measured with
+#: rows stacked one at a time and the reassembly on merged terms (numpy
+#: 2.4, x86-64).  Stacking all 2 N^2 pairs at once took 17.0 MiB for
+#: jw_anticommutation and 7.3 MiB for pauli_site_algebra at N = 10, and the
+#: dense reassembly 4.1 MiB at N = 8.
+_MiB = 1 << 20
+TRACED_PEAKS = [
+    (verify.check_pauli_site_algebra, (10,), 2 * _MiB),
+    (verify.check_jw_anticommutation, (10,), 4 * _MiB),
+    (verify.check_boundary_operator, (10,), _MiB // 4),
+    (verify.check_parity_commutes, (10, 0.7), 3 * _MiB // 4),
+    (verify.check_jw_equals_pauli, (10, 0.7), 13 * _MiB // 4),
+    (verify.check_spectrum_reflection, (10, 0.7), 7 * _MiB // 2),
+    (verify.check_ground_agreement, (10,), 23 * _MiB // 4),
+    (verify.check_sector_reassembly, (8, 0.7), 5 * _MiB // 2),
+]
+
+
+@pytest.mark.parametrize(
+    "check, args, limit", TRACED_PEAKS, ids=[check.__name__ for check, _, _ in TRACED_PEAKS]
+)
+def test_traced_peak_stays_bounded(check, args, limit):
+    # numpy reports its buffers to tracemalloc, so a stack of every site
+    # pair or a dense 2^N x 2^N sum shows up here.
+    check(*args)  # load modules and caches first
+    tracemalloc.start()
+    try:
+        check(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
+def one_stack_worst(lefts, rights, signs, deltas):
+    """The form the row-by-row sum replaced: all pairs in one direct sum, one max_abs_sum."""
+    dim = lefts[0].target.size
+    pairs = list(np.ndindex(len(lefts), len(rights)))
+    firsts = oracle.Monomial.direct_sum([lefts[i] for i, _ in pairs])
+    seconds = oracle.Monomial.direct_sum([rights[j] for _, j in pairs])
+    backward = (seconds @ firsts).scaled(np.repeat(signs, dim))
+    minus_delta = oracle.Monomial(np.arange(len(pairs) * dim), -np.repeat(deltas, dim))
+    worst, cell = oracle.Monomial.max_abs_sum([firsts @ seconds, backward, minus_delta])
+    return worst, None if cell is None else pairs[cell[1] // dim]
+
+
+def site_algebra_operators(n_sites):
+    """The lefts, rights, signs and deltas of pauli_site_algebra and jw_anticommutation."""
+    plus = [
+        oracle.Monomial.site(oracle.SIGMA_MINUS.T, j, n_sites, flip=True)
+        for j in range(n_sites)
+    ]
+    cs = [oracle.Monomial.annihilation(n_sites, j) for j in range(n_sites)]
+    return {
+        "pauli": (plus, plus, 2.0 * np.eye(n_sites) - 1.0, np.zeros((n_sites, n_sites))),
+        "jw": (
+            cs,
+            cs + [c.T for c in cs],
+            np.ones((n_sites, 2 * n_sites)),
+            np.eye(n_sites, 2 * n_sites, n_sites),
+        ),
+    }
+
+
+class TestRowStackedChecks:
+    @pytest.mark.parametrize("n_sites", range(3, 10))
+    def test_rows_equal_the_one_stack(self, n_sites):
+        # On the true operators, and on copies with every coefficient
+        # perturbed, so that each pair has its own nonzero deviation.
+        rng = np.random.default_rng(n_sites)
+        checks = {
+            "pauli": verify.check_pauli_site_algebra(n_sites),
+            "jw": verify.check_jw_anticommutation(n_sites),
+        }
+        for kind, (lefts, rights, signs, deltas) in site_algebra_operators(n_sites).items():
+            assert checks[kind].max_deviation == one_stack_worst(lefts, rights, signs, deltas)[0]
+            assert verify._worst_pair(lefts, rights, signs, deltas) == one_stack_worst(
+                lefts, rights, signs, deltas
+            )
+            perturb = {}
+            for op in lefts + rights:
+                perturb.setdefault(id(op), op.scaled(1.0 + rng.normal(0, 1e-3, op.target.size)))
+            noisy = [[perturb[id(op)] for op in ops] for ops in (lefts, rights)]
+            worst, pair = verify._worst_pair(*noisy, signs, deltas)
+            assert worst > 0.0
+            assert (worst, pair) == one_stack_worst(*noisy, signs, deltas)
 
 
 def _corrupt_output(monkeypatch, owner, name, corrupt):
@@ -269,6 +360,22 @@ class TestOperatorChecksCatchCorruption:
         result = verify.check_pauli_site_algebra(4)
         assert not result.passed
         assert result.max_deviation == 1.0
+        assert result.detail == {"sites": 4, "dim": 16, "pair": [0, 1]}
+
+    @pytest.mark.parametrize("corrupted_site, pair", [(0, [0, 1]), (2, [0, 2]), (3, [0, 3])])
+    def test_pauli_site_algebra_names_the_first_failing_pair(
+        self, monkeypatch, corrupted_site, pair
+    ):
+        # sigma+_s and sigma+_i stop commuting for every i != s; the first
+        # such pair in row order is named.
+        def corrupt(monomial, op, site, n_sites, flip=False):
+            if flip and site == corrupted_site:
+                monomial.coeff[0] *= 2.0
+
+        _corrupt_output(monkeypatch, oracle.Monomial, "site", corrupt)
+        result = verify.check_pauli_site_algebra(4)
+        assert not result.passed
+        assert result.detail["pair"] == pair
 
     def test_jw_anticommutation(self, monkeypatch):
         def corrupt(monomial, n_sites, site):
@@ -279,6 +386,22 @@ class TestOperatorChecksCatchCorruption:
         result = verify.check_jw_anticommutation(4)
         assert not result.passed
         assert result.max_deviation == 2.0
+        assert result.detail == {"sites": 4, "pair": [0, 1], "anticommutator": "{c_i, c_j}"}
+
+    @pytest.mark.parametrize("corrupted_site", [0, 2])
+    def test_jw_anticommutation_names_a_scaled_pair(self, monkeypatch, corrupted_site):
+        # Doubling c_s leaves every {c_i, c_j} zero and {c_i, c_j+} zero off
+        # site, but makes {c_s, c_s+} four times the identity.
+        def corrupt(monomial, n_sites, site):
+            if site == corrupted_site:
+                monomial.coeff *= 2.0
+
+        _corrupt_output(monkeypatch, oracle.Monomial, "annihilation", corrupt)
+        result = verify.check_jw_anticommutation(4)
+        assert not result.passed
+        assert result.max_deviation == 3.0
+        assert result.detail["pair"] == [corrupted_site, corrupted_site]
+        assert result.detail["anticommutator"] == "{c_i, c_j+}"
 
 
 class TestGroundAgreementProperty:

@@ -61,6 +61,32 @@ SIZE_LIMITS = {
 }
 
 
+def _size_estimate(budget: str, n_sites: int) -> str:
+    """The size that SIZE_LIMITS[budget] caps, for an n_sites ring."""
+    if budget == "state vector":
+        return f"2^{n_sites} complex amplitudes, {_binary_bytes(n_sites + 4)}"
+    if budget == "dense spin Hamiltonian":
+        return f"2^{n_sites} x 2^{n_sites} dense matrix, {_binary_bytes(2 * n_sites + 3)}"
+    if budget == "verification suite":
+        return f"{2 * n_sites} x 2^{n_sites} stacked entries per row"
+    if budget == "sector reassembly audit":
+        return f"{n_sites * n_sites + 1} monomial terms of 2^{n_sites} entries"
+    # "bipartition enumeration" and "purity statistics" count balanced cuts.
+    half, odd = n_sites // 2, n_sites % 2
+    cuts = f"C({n_sites}, {half})" + ("" if odd else "/2")
+    if n_sites <= 64:  # past this the count is a long number and costly to form
+        cuts += f" = {math.comb(n_sites, half) >> (1 - odd):,}"
+    return f"{cuts} balanced cuts" + (" per field" if budget == "purity statistics" else "")
+
+
+def _binary_bytes(exponent: int) -> str:
+    """2^exponent bytes in the largest binary unit up to EiB."""
+    unit = min(exponent // 10, 6)
+    rest = exponent - 10 * unit
+    amount = 1 << rest if rest < 10 else f"2^{rest}"
+    return f"{amount} {('bytes', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB', 'EiB')[unit]}"
+
+
 # Named tuples, not dataclasses: ``dataclasses`` pulls in ``inspect`` and
 # costs every closed-form process about 11 ms of import.
 class ModeSet(namedtuple("ModeSet", ("n", "alpha", "modes"))):
@@ -93,7 +119,10 @@ def _validate_sites(n_sites: int, minimum: int = 1, budget: str | None = None) -
     if n_sites < minimum:
         raise ValueError(f"number of sites must be >= {minimum}, got {n_sites}")
     if budget is not None and n_sites > SIZE_LIMITS[budget]:
-        raise SizeLimit(f"{budget}: limited to {SIZE_LIMITS[budget]} sites, got {n_sites}")
+        raise SizeLimit(
+            f"{budget}: limited to {SIZE_LIMITS[budget]} sites, got {n_sites} "
+            f"({_size_estimate(budget, int(n_sites))})"
+        )
 
 
 def _validate_field(g: float) -> None:

@@ -14,6 +14,12 @@ the antisymmetrized plane-wave sum over fermion placements; the sign factor
 collects the spin-z strings that order the fermions along the ring.  The
 vector is normalized numerically after assembly, so only the ray is
 meaningful; no global-phase convention is imposed.
+
+The C(N, n) determinants are assembled in chunks of at most
+``_CHUNK_ENTRIES`` matrix entries, so the working memory beside the 2^N
+amplitudes and the sector's positions is a fixed few hundred KiB, not
+C(N, n) n^2 complex entries.  Every matrix is factored on its own, so the
+chunking moves no bit; every sector up to N = 10 is a single chunk.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import numpy as np
 
 from .analytic import ModeSet, alpha_for_sector, ground_sector, occupied_modes
 from .analytic import _validate_index, _validate_sites
+
+_CHUNK_ENTRIES = 1 << 13  # determinant entries per chunk; C(10, 6) 6^2 = 7560 fits in one
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,9 @@ def ground_state(n_sites: int, g: float) -> StateVector:
 
     Fully polarized below g = -1 (index 0) and above g = +1 (index
     2^N - 1); in between, a superposition over all C(N, n) placements of
-    the n = ground_sector(N, g) fermions.  Raises DegenerateAtCrossing on a
+    the n = ground_sector(N, g) fermions, one determinant per placement,
+    filled in ascending basis order one chunk of rows at a time, then
+    normalized over all 2^N entries.  Raises DegenerateAtCrossing on a
     level crossing and SizeLimit above the "state vector" size limit.
     """
     _validate_sites(n_sites, minimum=3, budget="state vector")
@@ -113,6 +123,10 @@ def ground_state(n_sites: int, g: float) -> StateVector:
         lowest = rest & -rest
         positions[:, k] = np.bitwise_count(lowest - 1)
         rest ^= lowest
-    amplitudes[masks] = _slater_amplitudes(n_sites, occupied_modes(n_sites, n), positions)
+    modes = occupied_modes(n_sites, n)
+    rows = max(1, _CHUNK_ENTRIES // (n * n))
+    for start in range(0, len(masks), rows):
+        part = slice(start, start + rows)
+        amplitudes[masks[part]] = _slater_amplitudes(n_sites, modes, positions[part])
     amplitudes /= np.linalg.norm(amplitudes)
     return StateVector(sites=n_sites, n=n, amplitudes=amplitudes)

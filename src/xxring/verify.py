@@ -208,6 +208,15 @@ def check_spectrum_reflection(n_sites: int, g: float) -> CheckResult:
     return _result("spectrum_reflection", deviation, REFLECTION_TOLERANCE, sites=n_sites, g=g)
 
 
+def _field_result(name, errors, fields, tolerance, **detail):
+    """A grid check's result from its per-field errors; a failed one names the
+    field g of its worst error and that field's sector n."""
+    worst = int(np.argmax(errors))  # the first NaN, if any
+    if not errors[worst] <= tolerance:
+        detail["g"], detail["n"] = fields[worst]
+    return _result(name, errors[worst], tolerance, **detail)
+
+
 def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
     """Closed-form ground energy and state against the oracle's H at each field.
 
@@ -217,26 +226,27 @@ def check_ground_agreement(n_sites: int, field_grid=None) -> list[CheckResult]:
     from one field to the next: once per sector on an ascending grid.  Returns
     ``energy_agreement`` (lowest eigenvalue against N * ground_energy_density)
     and ``state_overlap`` (analytic ground state against the dense
-    eigenvector, up to phase).  An empty grid raises ValueError: a check over
-    no field would pass vacuously.
+    eigenvector, up to phase).  A NaN error counts as the worst, so it
+    fails; a failed result names the field of its worst error and that
+    field's sector.  An empty grid raises ValueError: a check over no field
+    would pass vacuously.
     """
     grid = default_field_grid(n_sites) if field_grid is None else field_grid
     if len(grid) == 0:
         raise ValueError("the field grid is empty; nothing would be checked")
-    energy_worst = overlap_worst = 0.0
+    fields, energy_errors, overlap_errors = [None], [0.0], [0.0]  # both errors start at 0
     state = None
     hamiltonians = (oracle.hamiltonian_terms(n_sites, g) for g in grid)
     for g, pair in zip(grid, oracle.ground_eigenpairs(hamiltonians)):
-        energy = n_sites * ground_energy_density(n_sites, g)
-        energy_worst = max(energy_worst, abs(energy - pair.energy))
         if state is None or state.n != ground_sector(n_sites, g):
             state = ground_state(n_sites, g)
-        overlap = abs(np.vdot(state.amplitudes, pair.vector))
-        overlap_worst = max(overlap_worst, 1.0 - overlap)
+        fields.append((g, state.n))
+        energy_errors.append(abs(n_sites * ground_energy_density(n_sites, g) - pair.energy))
+        overlap_errors.append(1.0 - abs(np.vdot(state.amplitudes, pair.vector)))
     detail = {"sites": n_sites, "points": len(grid)}
     return [
-        _result("energy_agreement", energy_worst, ENERGY_TOLERANCE, **detail),
-        _result("state_overlap", overlap_worst, OVERLAP_TOLERANCE, **detail),
+        _field_result("energy_agreement", energy_errors, fields, ENERGY_TOLERANCE, **detail),
+        _field_result("state_overlap", overlap_errors, fields, OVERLAP_TOLERANCE, **detail),
     ]
 
 

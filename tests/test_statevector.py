@@ -1,4 +1,6 @@
 import cmath
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,33 @@ def off_crossing_grid(n_sites, points=15, span=1.4, margin=1e-3):
         for g in np.linspace(-span, span, points)
         if min(abs(g - gc) for gc in fields) > margin
     ]
+
+
+def sector_midfields():
+    """One field per sector n = 1..N-1 of every N in 3..14, the middle of its interval."""
+    cases = []
+    for n_sites in range(3, 15):
+        fields = [cp.g_c for cp in analytic.critical_points(n_sites)]
+        for n in range(1, n_sites):
+            g = (fields[n - 1] + fields[n]) / 2
+            assert analytic.ground_sector(n_sites, g) == n
+            cases.append(pytest.param(n_sites, g, id=f"{n_sites}-sector{n}"))
+    return cases
+
+
+def loop_reference(n_sites, g):
+    """The ground state as it was assembled with Python loops over the 2^N indices:
+    all C(N, n) determinants in one call, then the norm over all 2^N entries."""
+    n = analytic.ground_sector(n_sites, g)
+    masks = [m for m in range(1 << n_sites) if m.bit_count() == n]
+    positions = np.array(
+        [[j for j in range(n_sites) if (m >> j) & 1] for m in masks], dtype=float
+    )
+    expected = np.zeros(1 << n_sites, dtype=complex)
+    expected[masks] = statevector._slater_amplitudes(
+        n_sites, analytic.occupied_modes(n_sites, n), positions
+    )
+    return expected / np.linalg.norm(expected)
 
 
 class TestSlaterAmplitude:
@@ -158,18 +187,53 @@ class TestGroundState:
             assert indices.tolist() == [m for m in range(1 << n_sites) if m.bit_count() == n]
 
     @pytest.mark.parametrize(
-        "n_sites,g", [(4, 0.3), (9, -0.1), (12, 0.05), (13, 0.2), (14, -0.003)]
+        "n_sites,g",
+        [(4, 0.3), (9, -0.1), (12, 0.05), (13, 0.2), (14, -0.003), *sector_midfields()],
     )
     def test_vector_enumeration_keeps_the_loop_bits(self, n_sites, g):
-        # The assembly as it stood with Python loops over the 2^N indices.
+        assert np.array_equal(
+            statevector.ground_state(n_sites, g).amplitudes, loop_reference(n_sites, g)
+        )
+
+    @pytest.mark.parametrize("rows", ["one", "all but one", "all", "partial last"])
+    def test_chunk_size_moves_no_bit(self, rows, monkeypatch):
+        # Each determinant is factored on its own, so the rows per chunk
+        # change only how the sector is cut, never an amplitude.
+        n_sites, g = 12, 0.05
         n = analytic.ground_sector(n_sites, g)
-        masks = [m for m in range(1 << n_sites) if m.bit_count() == n]
-        positions = np.array(
-            [[j for j in range(n_sites) if (m >> j) & 1] for m in masks], dtype=float
-        )
-        expected = np.zeros(1 << n_sites, dtype=complex)
-        expected[masks] = statevector._slater_amplitudes(
-            n_sites, analytic.occupied_modes(n_sites, n), positions
-        )
-        expected /= np.linalg.norm(expected)
+        count = math.comb(n_sites, n)
+        size = {"one": 1, "all but one": count - 1, "all": count, "partial last": 100}[rows]
+        expected = loop_reference(n_sites, g)
+        chunks = []
+        true_slater = statevector._slater_amplitudes
+
+        def recording(n_sites, modes, positions):
+            chunks.append(len(positions))
+            return true_slater(n_sites, modes, positions)
+
+        monkeypatch.setattr(statevector, "_slater_amplitudes", recording)
+        monkeypatch.setattr(statevector, "_CHUNK_ENTRIES", size * n * n)
         assert np.array_equal(statevector.ground_state(n_sites, g).amplitudes, expected)
+        full, last = divmod(count, size)
+        assert chunks == [size] * full + ([last] if last else [])
+
+    def test_every_sector_up_to_ten_sites_is_one_chunk(self):
+        # The README sweeps and verify stop at N = 10, so they keep the one-call path.
+        for n_sites in range(3, 11):
+            for n in range(1, n_sites):
+                assert statevector._CHUNK_ENTRIES // (n * n) >= math.comb(n_sites, n)
+
+    @pytest.mark.parametrize(("n_sites", "g"), [(13, 0.2), (14, -0.003)])
+    def test_traced_peak_stays_bounded(self, n_sites, g):
+        # numpy reports its buffers to tracemalloc.  The peak holds the 2^N
+        # amplitudes, the sector's positions and one chunk of matrices: 648
+        # and 910 KiB, a margin of 37% and 11% under the bound, against
+        # 2.8 and 5.6 MiB when all C(N, n) matrices were stacked at once.
+        statevector.ground_state(n_sites, g)  # fill the per-N caches first
+        tracemalloc.start()
+        try:
+            statevector.ground_state(n_sites, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20

@@ -151,6 +151,32 @@ class TestEntryPointTable:
             "sector reassembly audit": 8,
         }
 
+    @pytest.mark.parametrize(
+        ("budget", "n_sites", "estimate"),
+        [
+            ("state vector", 15, "2^15 complex amplitudes, 512 KiB"),
+            ("state vector", 70, "2^70 complex amplitudes, 2^14 EiB"),
+            ("bipartition enumeration", 15, "C(15, 7) = 6,435 balanced cuts"),
+            ("bipartition enumeration", 16, "C(16, 8)/2 = 6,435 balanced cuts"),
+            ("purity statistics", 13, "C(13, 6) = 1,716 balanced cuts per field"),
+            (
+                "purity statistics",
+                64,
+                "C(64, 32)/2 = 916,312,070,471,295,267 balanced cuts per field",
+            ),
+            ("purity statistics", 10**9, "C(1000000000, 500000000)/2 balanced cuts per field"),
+            ("dense spin Hamiltonian", 13, "2^13 x 2^13 dense matrix, 512 MiB"),
+            ("verification suite", 11, "22 x 2^11 stacked entries per row"),
+            ("sector reassembly audit", 9, "82 monomial terms of 2^9 entries"),
+        ],
+    )
+    def test_refusal_states_the_estimate_behind_the_cap(self, budget, n_sites, estimate):
+        with pytest.raises(SizeLimit) as refusal:
+            analytic._validate_sites(n_sites, minimum=3, budget=budget)
+        assert str(refusal.value) == (
+            f"{budget}: limited to {SIZE_LIMITS[budget]} sites, got {n_sites} ({estimate})"
+        )
+
     def test_every_budget_guards_an_entry_point(self):
         # A cap that no public entry point validates against is dead.
         assert set(SIZE_LIMITS) == {e.budget for e in ENTRY_POINTS.values()} - {None}

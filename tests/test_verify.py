@@ -99,6 +99,15 @@ class TestChecks:
         assert energy.passed
         assert not overlap.passed
         assert overlap.max_deviation > 1e-4
+        # The failed check names the grid field of its worst overlap and
+        # that field's sector.  Rolling a polarized state moves it onto an
+        # orthogonal basis state, so the first grid field, in sector 0,
+        # already has the largest possible deviation, 1.
+        grid = verify.default_field_grid(4)
+        assert overlap.max_deviation == 1.0
+        assert overlap.detail == {"sites": 4, "points": len(grid), "g": grid[0], "n": 0}
+        assert analytic.ground_sector(4, grid[0]) == 0
+        assert energy.detail == {"sites": 4, "points": len(grid)}
 
     def test_ground_agreement_solves_each_block_once(self, monkeypatch):
         # The field only shifts each fermion-number block, so the grid's six
@@ -159,6 +168,23 @@ class TestChecks:
         assert [r.max_deviation for r in results] == [energy, overlap]
         assert all(r.passed for r in results)
 
+    def test_a_nan_state_fails_the_overlap_check(self, monkeypatch):
+        # A NaN overlap is no agreement: it must not be skipped by the
+        # running maximum and leave the check passing at 0.
+        true_state = verify.ground_state
+
+        def nan_state(n_sites, g):
+            state = true_state(n_sites, g)
+            return replace(state, amplitudes=np.full_like(state.amplitudes, np.nan))
+
+        monkeypatch.setattr(verify, "ground_state", nan_state)
+        energy, overlap = verify.check_ground_agreement(4)
+        grid = verify.default_field_grid(4)
+        assert energy.passed
+        assert not overlap.passed
+        assert math.isnan(overlap.max_deviation)
+        assert (overlap.detail["g"], overlap.detail["n"]) == (grid[0], 0)
+
     def test_energy_check_catches_a_flipped_hopping_at_one_field(self, monkeypatch):
         # Corrupting a single grid field's H must fail the check although the
         # other fields reuse one block solve: the corrupted terms are no shift
@@ -177,6 +203,7 @@ class TestChecks:
         energy, _ = verify.check_ground_agreement(4)
         assert not energy.passed
         assert energy.max_deviation > 1e-3
+        assert (energy.detail["g"], energy.detail["n"]) == (corrupted_g, 1)
         assert verify.check_ground_agreement(4, [g for g in grid if g != corrupted_g])[0].passed
 
     @pytest.mark.parametrize("n_sites,g", [(4, 0.5), (5, -0.3)])

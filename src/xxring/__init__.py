@@ -68,7 +68,6 @@ verify = _lazy_submodule("verify")
 _LAZY_EXPORTS = {
     "StateVector": statevector,
     "ground_state": statevector,
-    "slater_amplitude": statevector,
     "Bipartition": entanglement,
     "PurityStats": entanglement,
     "balanced_bipartitions": entanglement,

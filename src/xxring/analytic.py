@@ -126,7 +126,11 @@ def _validate_sites(n_sites: int, minimum: int = 1, budget: str | None = None) -
 
 
 def _validate_field(g: float) -> None:
-    if not math.isfinite(g):
+    try:
+        finite = math.isfinite(g)
+    except OverflowError:  # an int past the double range; its digits are not worth printing
+        raise ValueError("field g must be finite, got an int past the double range") from None
+    if not finite:
         raise ValueError(f"field g must be finite, got {g!r}")
 
 
@@ -149,11 +153,14 @@ def field_grid(g_min: float, g_max: float, steps: int) -> list[float]:
     i*step + g_min with step = (g_max - g_min)/(steps - 1), or
     i/(steps - 1)*(g_max - g_min) + g_min where the step rounds to zero (a
     denormal span), and the last point is g_max itself.  Raises ValueError
-    for fewer than 2 steps and for a span g_max - g_min that overflows.
+    for fewer than 2 steps, for an end that is not a finite double and for
+    a span g_max - g_min that overflows.
     """
     _require_integer(steps, "number of grid steps")
     if steps < 2:
         raise ValueError(f"a field grid needs at least 2 steps, got {steps}")
+    _validate_field(g_min)
+    _validate_field(g_max)
     start, stop = float(g_min), float(g_max)
     delta = stop - start
     if not math.isfinite(delta):

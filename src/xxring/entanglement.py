@@ -20,7 +20,6 @@ import numpy as np
 from .analytic import (
     _crossing_fields,
     _require_integer,
-    _validate_field,
     _validate_sites,
     field_grid,
     ground_sector,
@@ -88,18 +87,14 @@ def balanced_bipartitions(n_sites: int) -> list[Bipartition]:
     C(N, (N-1)/2) in total.
     """
     _validate_sites(n_sites, minimum=3, budget="bipartition enumeration")
-    return list(_balanced_cuts(int(n_sites)))
+    return [Bipartition(int(n_sites), mask) for mask in _balanced_cuts(int(n_sites))]
 
 
 @functools.lru_cache(maxsize=None)  # one entry per ring size the budget allows
-def _balanced_cuts(n_sites: int) -> tuple[Bipartition, ...]:
-    size_a = n_sites // 2
-    even = n_sites % 2 == 0
-    return tuple(
-        Bipartition(sites=n_sites, mask=mask)
-        for mask in range(1, 1 << n_sites)
-        if mask.bit_count() == size_a and (not even or mask & 1)
-    )
+def _balanced_cuts(n_sites: int) -> tuple[int, ...]:
+    """The masks of balanced_bipartitions as plain ints, ascending."""
+    step = 2 - n_sites % 2  # even N: odd masks only, so site 0 is in A
+    return tuple(m for m in range(1, 1 << n_sites, step) if m.bit_count() == n_sites // 2)
 
 
 def _index_tables(n_sites: int, masks: list[int]) -> list[np.ndarray]:
@@ -160,7 +155,7 @@ def purity_stats(n_sites: int, g: float) -> PurityStats:
     """
     _validate_sites(n_sites, minimum=3, budget="purity statistics")
     state = ground_state(n_sites, g)
-    masks = [part.mask for part in _balanced_cuts(int(n_sites))]
+    masks = _balanced_cuts(int(n_sites))
     samples = _purities(state.amplitudes, state.sites, masks)
     return PurityStats(
         g=float(g),
@@ -194,11 +189,10 @@ def entanglement_sweep(
     own g.
     """
     _validate_sites(n_sites, minimum=3, budget="purity statistics")
-    _validate_field(g_min)
-    _validate_field(g_max)
+    grid = field_grid(g_min, g_max, steps)  # refuses an end that is not a finite double
     if not g_min < g_max:
         raise ValueError(f"need g_min < g_max, got [{g_min}, {g_max}]")
-    grid = [_nudge_off_crossings(n_sites, g) for g in field_grid(g_min, g_max, steps)]
+    grid = [_nudge_off_crossings(n_sites, g) for g in grid]
     by_sector: dict[int, PurityStats] = {}
     results = []
     for g in grid:

@@ -207,8 +207,7 @@ def build_parity_operator(n_sites: int) -> np.ndarray:
     (rows) or ``A * parity`` (columns).
     """
     _validate_sites(n_sites, minimum=3, budget="dense spin Hamiltonian")
-    b = np.arange(1 << n_sites)
-    n_down = n_sites - sum((b >> j) & 1 for j in range(n_sites))
+    n_down = n_sites - np.bitwise_count(np.arange(1 << n_sites))
     return -((-1.0) ** n_down)
 
 

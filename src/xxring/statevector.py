@@ -25,12 +25,10 @@ chunking moves no bit; every sector up to N = 10 is a single chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .analytic import ModeSet, alpha_for_sector, ground_sector, occupied_modes
-from .analytic import _validate_index, _validate_sites
+from .analytic import ModeSet, _validate_sites, ground_sector, occupied_modes
 
 _CHUNK_ENTRIES = 1 << 13  # determinant entries per chunk; C(10, 6) 6^2 = 7560 fits in one
 
@@ -56,37 +54,6 @@ def _slater_amplitudes(n_sites: int, modes: ModeSet, positions: np.ndarray) -> n
     )
     signs = 1.0 - 2.0 * (positions.sum(axis=1).astype(int) & 1)
     return signs * np.linalg.det(matrices)
-
-
-def slater_amplitude(n_sites: int, modes: ModeSet, positions: Sequence[int]) -> complex:
-    """Unnormalized ground-state amplitude for fermions at the given sites.
-
-    ``modes`` must belong to the ring: ``modes.n`` distinct modes in
-    [0, N) and the offset ``alpha_for_sector(N, modes.n)``.  ``positions``
-    must be sorted, distinct and inside [0, N), with exactly ``modes.n``
-    entries.  Computed as an n x n determinant (LU under the hood), not by
-    permutation enumeration.
-    """
-    _validate_sites(n_sites, minimum=3)
-    for k in modes.modes:
-        _validate_index(n_sites, k, "mode index")
-    if len(set(modes.modes)) != len(modes.modes) or len(modes.modes) != modes.n:
-        raise ValueError(f"expected {modes.n} distinct modes, got {modes.modes}")
-    if modes.alpha != alpha_for_sector(n_sites, modes.n):
-        raise ValueError(
-            f"offset alpha = {modes.alpha!r} does not belong to the {modes.n}-fermion "
-            f"sector of a {n_sites}-site ring"
-        )
-    pos = list(positions)
-    if len(pos) != modes.n:
-        raise ValueError(
-            f"expected {modes.n} positions for a {modes.n}-fermion amplitude, got {len(pos)}"
-        )
-    if any(not 0 <= j < n_sites for j in pos):
-        raise ValueError(f"positions must lie in [0, {n_sites}): {pos}")
-    if any(a >= b for a, b in zip(pos, pos[1:])):
-        raise ValueError(f"positions must be strictly increasing: {pos}")
-    return complex(_slater_amplitudes(n_sites, modes, np.array([pos], dtype=float))[0])
 
 
 def _sector_indices(n_sites: int, n: int) -> np.ndarray:

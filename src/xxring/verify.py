@@ -74,6 +74,14 @@ def _result(name, deviation, tolerance, **detail):
     )
 
 
+def _entry_result(name, terms, tolerance, **detail):
+    """max_abs_sum of the terms; a failed result names the (row, column) of its worst entry."""
+    deviation, entry = oracle.Monomial.max_abs_sum(terms)
+    if not deviation <= tolerance:
+        detail["entry"] = list(entry)
+    return _result(name, deviation, tolerance, **detail)
+
+
 def default_field_grid(n_sites: int) -> list[float]:
     """Uniform field grid with crossing neighborhoods removed."""
     fields = [cp.g_c for cp in critical_points(n_sites)]
@@ -150,8 +158,8 @@ def check_boundary_operator(n_sites: int) -> CheckResult:
     c_n = string @ oracle.Monomial.site(oracle.SIGMA_MINUS, 0, n_sites, flip=True)
     hole_parity = -oracle.build_parity_operator(n_sites)  # (-1)^(#down)
     c_0 = oracle.Monomial.annihilation(n_sites, 0)
-    deviation, _ = oracle.Monomial.max_abs_sum([c_n, c_0.scaled(-hole_parity)])
-    return _result("boundary_operator", deviation, OPERATOR_TOLERANCE, sites=n_sites)
+    terms = [c_n, c_0.scaled(-hole_parity)]
+    return _entry_result("boundary_operator", terms, OPERATOR_TOLERANCE, sites=n_sites)
 
 
 def check_parity_commutes(n_sites: int, g: float) -> CheckResult:
@@ -161,15 +169,14 @@ def check_parity_commutes(n_sites: int, g: float) -> CheckResult:
         oracle.Monomial(term.target, (parity[term.target] - parity) * term.coeff)
         for term in oracle.hamiltonian_terms(n_sites, g)
     ]
-    deviation, _ = oracle.Monomial.max_abs_sum(commutators)
-    return _result("parity_commutes", deviation, OPERATOR_TOLERANCE, sites=n_sites, g=g)
+    return _entry_result("parity_commutes", commutators, OPERATOR_TOLERANCE, sites=n_sites, g=g)
 
 
 def check_jw_equals_pauli(n_sites: int, g: float) -> CheckResult:
     """The Jordan-Wigner terms sum to the Pauli terms entrywise."""
     negated = [term.scaled(-1.0) for term in oracle.hamiltonian_terms(n_sites, g)]
-    deviation, _ = oracle.Monomial.max_abs_sum(oracle.jw_terms(n_sites, g) + negated)
-    return _result("jw_equals_pauli", deviation, JW_EQUALITY_TOLERANCE, sites=n_sites, g=g)
+    terms = oracle.jw_terms(n_sites, g) + negated
+    return _entry_result("jw_equals_pauli", terms, JW_EQUALITY_TOLERANCE, sites=n_sites, g=g)
 
 
 def check_sector_reassembly(n_sites: int, g: float) -> CheckResult:
@@ -182,15 +189,13 @@ def check_sector_reassembly(n_sites: int, g: float) -> CheckResult:
     """
     reassembled = oracle.sector_reassembly(n_sites, g)  # refuses over-budget sizes first
     ham = oracle.hamiltonian_terms(n_sites, g)
-    deviation, entry = oracle.Monomial.max_abs_sum(reassembled + [t.scaled(-1.0) for t in ham])
+    diff = reassembled + [t.scaled(-1.0) for t in ham]
+    entries = _entry_result("sector_reassembly", diff, SECTOR_AUDIT_TOLERANCE, sites=n_sites, g=g)
     adjoint = [oracle.Monomial(t.target, t.coeff.conj()).T for t in reassembled]
     hermitian = oracle.Monomial.merged([t.scaled(0.5) for t in reassembled + adjoint])
     spectrum = np.abs(oracle.eigvalsh(ham) - oracle.eigvalsh(hermitian)).max()
-    detail = {"sites": n_sites, "g": g}
-    if not deviation <= SECTOR_AUDIT_TOLERANCE:
-        detail["entry"] = list(entry)
-    worst = max(deviation, spectrum)
-    return _result("sector_reassembly", worst, SECTOR_AUDIT_TOLERANCE, **detail)
+    worst = max(entries.max_deviation, spectrum)
+    return _result("sector_reassembly", worst, SECTOR_AUDIT_TOLERANCE, **entries.detail)
 
 
 def check_spectrum_reflection(n_sites: int, g: float) -> CheckResult:
@@ -198,14 +203,19 @@ def check_spectrum_reflection(n_sites: int, g: float) -> CheckResult:
 
     Even rings are bipartite, so their spectrum is additionally negated
     under the reflection; odd rings have no such sublattice rotation.  Both
-    spectra come block by block from the terms' entries.
+    spectra come block by block from the terms' entries.  A failed check
+    names the identity and the index of its worst level, in ascending order.
     """
     direct = oracle.eigvalsh(oracle.hamiltonian_terms(n_sites, g))
     flipped = oracle.eigvalsh(oracle.hamiltonian_terms(n_sites, -g))
-    deviation = np.abs(direct - flipped).max()
+    errors = [np.abs(direct - flipped)]
     if n_sites % 2 == 0:
-        deviation = max(deviation, np.abs(direct + flipped[::-1]).max())
-    return _result("spectrum_reflection", deviation, REFLECTION_TOLERANCE, sites=n_sites, g=g)
+        errors.append(np.abs(direct + flipped[::-1]))
+    which, level = divmod(int(np.argmax(errors)), direct.size)  # the first NaN, if any
+    detail = {"sites": n_sites, "g": g}
+    if not errors[which][level] <= REFLECTION_TOLERANCE:
+        detail.update(identity=("g -> -g", "E -> -E")[which], level=level)
+    return _result("spectrum_reflection", errors[which][level], REFLECTION_TOLERANCE, **detail)
 
 
 def _field_result(name, errors, fields, tolerance, **detail):

@@ -435,6 +435,17 @@ class TestFieldGrid:
         with pytest.raises(ValueError, match="not finite"):
             analytic.field_grid(g_min, g_max, 3)
 
+    @pytest.mark.parametrize(
+        "g_min,g_max",
+        [(0, 10**400), (-(10**400), 0), (0, 10**5000), (math.nan, 1.0), (0.0, math.inf)],
+        ids=["int-1e400", "int-minus-1e400", "int-1e5000", "nan", "inf"],
+    )
+    def test_rejects_ends_that_are_not_finite_doubles(self, g_min, g_max):
+        # An int past the double range used to escape as OverflowError from
+        # float(); 10**5000 has too many digits to print in the message.
+        with pytest.raises(ValueError, match="finite"):
+            analytic.field_grid(g_min, g_max, 3)
+
     @pytest.mark.parametrize("steps", [1, 0, -4])
     def test_rejects_fewer_than_two_steps(self, steps):
         with pytest.raises(ValueError, match="at least 2 steps"):

@@ -697,6 +697,5 @@ class TestPackageExports:
             "purity",
             "purity_stats",
             "relative_error",
-            "slater_amplitude",
             "thermodynamic_energy",
         ]

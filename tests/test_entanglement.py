@@ -127,6 +127,23 @@ class TestBalancedBipartitions:
         with pytest.raises(TypeError):
             Bipartition(3, True)
 
+    @pytest.mark.parametrize("n_sites", range(3, 15))
+    def test_cuts_are_plain_int_masks(self, n_sites):
+        cuts = entanglement._balanced_cuts(n_sites)
+        assert type(cuts) is tuple and all(type(mask) is int for mask in cuts)
+        size_a, even = n_sites // 2, n_sites % 2 == 0
+        assert cuts == tuple(
+            mask
+            for mask in range(1, 1 << n_sites)
+            if mask.bit_count() == size_a and (not even or mask & 1)
+        )
+
+    def test_numpy_ring_size_gives_int_sites(self):
+        parts = entanglement.balanced_bipartitions(np.int64(8))
+        assert parts == entanglement.balanced_bipartitions(8)
+        assert all(type(part) is Bipartition for part in parts)
+        assert all(type(part.sites) is int and type(part.mask) is int for part in parts)
+
     def test_each_call_returns_a_fresh_list(self):
         first = entanglement.balanced_bipartitions(6)
         expected = [Bipartition(6, part.mask) for part in first]
@@ -443,6 +460,12 @@ class TestSweep:
             entanglement.entanglement_sweep(6, -1.5, math.inf, 4)
         with pytest.raises(ValueError, match="finite"):
             entanglement.entanglement_sweep(6, -math.inf, 1.5, 4)
+        # A NaN end is named as such, not as a misordered pair.
+        with pytest.raises(ValueError, match="finite"):
+            entanglement.entanglement_sweep(6, math.nan, 1.5, 4)
+        # An int end too large for a double is a ValueError, not an OverflowError.
+        with pytest.raises(ValueError, match="finite"):
+            entanglement.entanglement_sweep(6, -1.5, 10**400, 4)
         # Finite ends whose span g_max - g_min overflows.
         with pytest.raises(ValueError, match="span"):
             entanglement.entanglement_sweep(6, -1e308, 1e308, 4)

@@ -163,6 +163,14 @@ class TestParityOperator:
         assert parity[0b1111] == -1.0     # all up: 0 holes, e^{i pi}
         assert parity[0b0001] == 1.0      # 3 holes
 
+    @pytest.mark.parametrize("n_sites", range(3, 13))
+    def test_bit_count_keeps_the_loop_bits(self, n_sites):
+        b = np.arange(1 << n_sites)
+        n_down = n_sites - sum((b >> j) & 1 for j in range(n_sites))
+        parity = oracle.build_parity_operator(n_sites)
+        assert parity.dtype == np.float64
+        assert np.array_equal(parity, -((-1.0) ** n_down))
+
     def test_commutes_with_hamiltonian(self):
         for n_sites, g in ((4, 0.6), (5, -0.2)):
             ham = oracle.build_spin_hamiltonian(n_sites, g)
@@ -675,13 +683,14 @@ class TestGroundEigenpairStream:
 
 
 class TestFullSpectrum:
-    @pytest.mark.parametrize("n_sites", range(3, 11))
+    @pytest.mark.parametrize("n_sites", range(3, 13))
     def test_every_block_level_is_a_sum_of_mode_energies(self, n_sites):
         # The n-fermion levels are g (N - 2n) + 2 sum_{k in K} cos(2 pi (k + alpha)/N)
         # over every n-subset K of the modes, alpha = alpha_for_sector(N, n).
+        # The blocks come from the terms, so N = 11 and 12 need no dense 2^N x 2^N H.
         fermions = np.array([bin(b).count("1") for b in range(1 << n_sites)])
         for g in (0.7, -0.4, 0.0, 1.3):
-            entries = oracle._entries(oracle.build_spin_hamiltonian(n_sites, g))
+            entries = oracle._entries(oracle.hamiltonian_terms(n_sites, g))
             blocks, levels, *_ = oracle._solve_blocks(*entries)
             assert len(blocks) == n_sites + 1
             for n, ((index, _), block_levels) in enumerate(zip(blocks, levels)):

@@ -128,7 +128,16 @@ class TestEntryPointTable:
             entry.call(entry.minimum - 1, GOOD_FIELD)
 
     @pytest.mark.parametrize("name", _names(lambda e: e.takes_field))
-    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            pytest.param(10**400, id="int-1e400"),  # past the double range
+            pytest.param(-(10**400), id="int-minus-1e400"),
+        ],
+    )
     def test_rejects_nonfinite_fields(self, name, g):
         with pytest.raises(ValueError):
             ENTRY_POINTS[name].call(4, g)

@@ -358,6 +358,8 @@ class TestOperatorChecksCatchCorruption:
         result = verify.check_parity_commutes(4, 0.7)
         assert not result.passed
         assert result.max_deviation == pytest.approx(2 * 4 * 0.7)
+        # Column 0 (the vacuum, field entry 4 * 0.7) now lands in row 1.
+        assert result.detail == {"sites": 4, "g": 0.7, "entry": [1, 0]}
 
     def test_jw_equals_pauli(self, monkeypatch):
         def shift_one_field_entry(terms, n_sites, g):
@@ -367,16 +369,41 @@ class TestOperatorChecksCatchCorruption:
         result = verify.check_jw_equals_pauli(4, 0.7)
         assert not result.passed
         assert result.max_deviation == pytest.approx(0.5)
+        assert result.detail == {"sites": 4, "g": 0.7, "entry": [5, 5]}
 
     def test_spectrum_reflection(self, monkeypatch):
         def shift_the_vacuum(terms, n_sites, g):
             terms[0].coeff[0] += 0.01  # not flipped with the field
 
         _corrupt_output(monkeypatch, oracle, "hamiltonian_terms", shift_the_vacuum)
-        for n_sites in (4, 5):
-            result = verify.check_spectrum_reflection(n_sites, 0.7)
+        results = {n_sites: verify.check_spectrum_reflection(n_sites, 0.7) for n_sites in (4, 5)}
+        for result in results.values():
             assert not result.passed
             assert result.max_deviation >= 0.01 - 1e-12
+        # On 4 sites the vacuum, 4 * 0.7 + 0.01, is level 13 of 16; the
+        # negation moves it by 0.02, twice as far as the reflection does.
+        assert (results[4].detail["identity"], results[4].detail["level"]) == ("E -> -E", 13)
+        assert results[5].detail["identity"] == "g -> -g"
+
+    @pytest.mark.parametrize("n_sites, identity", [(4, "E -> -E"), (5, "g -> -g")])
+    def test_spectrum_reflection_names_the_worst_level(self, monkeypatch, n_sites, identity):
+        # Lifting the vacuum by 100 makes it the top level of H(g) and of
+        # H(-g), 2 N g apart.  On even rings the negation pairs it with the
+        # bottom level of H(-g) instead, about 100 away.
+        def lift_the_vacuum(terms, n_sites, g):
+            terms[0].coeff[0] += 100.0
+
+        _corrupt_output(monkeypatch, oracle, "hamiltonian_terms", lift_the_vacuum)
+        result = verify.check_spectrum_reflection(n_sites, 0.7)
+        assert not result.passed
+        if n_sites % 2:
+            assert result.max_deviation == pytest.approx(2 * n_sites * 0.7)
+        assert result.detail == {
+            "sites": n_sites,
+            "g": 0.7,
+            "identity": identity,
+            "level": (1 << n_sites) - 1,
+        }
 
     def test_pauli_site_algebra(self, monkeypatch):
         def corrupt(monomial, op, site, n_sites, flip=False):

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import gc
 import io
@@ -55,6 +54,8 @@ def _fmt_cell(value) -> str:
 
 
 def _csv_text(columns, rows, metadata=None) -> str:
+    import csv  # here, as json is for JSON: the JSON commands never load it
+
     buffer = io.StringIO()
     for key, value in (metadata or {}).items():
         buffer.write(f"# {key} = {_fmt_cell(value)}\n")
@@ -65,10 +66,48 @@ def _csv_text(columns, rows, metadata=None) -> str:
     return buffer.getvalue()
 
 
-def _json_text(payload) -> str:
+def _json_table(head: dict, key: str, rows, columns=None) -> str:
+    """The text of ``json.dumps({**head, key: rows}, indent=2) + "\\n"``.
+
+    Each row becomes an object keyed by ``columns``, or a list where
+    ``columns`` is None, through one ``%`` template per table.  Rows hold
+    at least one cell, and cells are scalars written by json's own rules:
+    ``repr`` for ints and finite floats, ``json.dumps`` for the rest (bool,
+    None, NaN, infinities, str).  A cell that is the very object of the row
+    above reuses that cell's text, as the per-sector columns of ``--detail``
+    rows do.  Only the head goes through json's indenting encoder, which
+    would build one chunk string per token and one dict per row.
+    """
     import json  # here, not at the top: the CSV commands never load it
 
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps({**head, key: []}, indent=2)  # ends in '"<key>": []\n}'
+    if not rows:
+        return text + "\n"
+    width = len(rows[0])
+    if columns is None:
+        keys, (opening, closing) = [""] * width, "[]"
+    else:
+        keys, (opening, closing) = [json.dumps(c).replace("%", "%%") + ": " for c in columns], "{}"
+    # Each row ends in a comma; the last row's is cut below.
+    fields = ",\n      ".join(key_text + "%s" for key_text in keys)
+    template = f"\n    {opening}\n      {fields}\n    {closing},"
+    inf = float("inf")
+    unset = object()
+    previous, texts = [unset] * width, [""] * width
+    parts = [text[:-3]]  # the head, through the '[' of the empty rows
+    for row in rows:
+        for i, cell in enumerate(row):
+            if cell is not previous[i]:
+                previous[i] = cell
+                kind = type(cell)
+                if kind is int or kind is float and -inf < cell < inf:
+                    texts[i] = repr(cell)
+                else:
+                    texts[i] = json.dumps(cell)
+        parts.append(template % tuple(texts))
+    parts[-1] = parts[-1][:-1]
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -94,13 +133,8 @@ def _emit_table(args: argparse.Namespace, params, columns, rows, metadata=None) 
     if args.format == "csv":
         _write(_csv_text(columns, rows, metadata), args.output)
         return
-    payload = {
-        "command": args.command,
-        "params": params,
-        "metadata": metadata or {},
-        "rows": [dict(zip(columns, row)) for row in rows],
-    }
-    _write(_json_text(payload), args.output)
+    head = {"command": args.command, "params": params, "metadata": metadata or {}}
+    _write(_json_table(head, "rows", rows, columns), args.output)
 
 
 def _grid_params(args: argparse.Namespace) -> dict:
@@ -194,13 +228,8 @@ def _cmd_ground_state(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write(_csv_text(("index", "re", "im"), triples, {"fermions": n}), args.output)
     else:
-        payload = {
-            "command": "ground-state",
-            "params": params,
-            "metadata": {"fermions": n},
-            "amplitudes": [[i, re, im] for i, re, im in triples],
-        }
-        _write(_json_text(payload), args.output)
+        head = {"command": "ground-state", "params": params, "metadata": {"fermions": n}}
+        _write(_json_table(head, "amplitudes", triples), args.output)
     return EXIT_OK
 
 
@@ -242,16 +271,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     n_sites = args.sites
     report = verify.run_verification(n_sites)
+    import json  # after the checks, so that its modules add nothing to their peak
+
     payload = {
         "command": "verify",
         "params": {"sites": n_sites},
         "checks": [asdict(check) for check in report.checks],
         "passed": report.passed,
     }
-    _write(_json_text(payload), args.output)
+    _write(json.dumps(payload, indent=2) + "\n", args.output)
     if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        print(f"verification failed: {failed}", file=sys.stderr)
+        failed = [f"{c.name} {json.dumps(c.detail)}" for c in report.checks if not c.passed]
+        print(f"verification failed: {'; '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

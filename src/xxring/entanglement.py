@@ -31,7 +31,7 @@ from .statevector import StateVector, ground_state
 SWEEP_CROSSING_RADIUS = 1e-9
 SWEEP_NUDGE = 1e-6
 
-_CHUNK_AMPLITUDES = 1 << 12  # amplitudes gathered per chunk of cuts (at least 4 cuts)
+_CHUNK_AMPLITUDES = 1 << 12  # amplitudes gathered per chunk of cuts (at least 2 cuts)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def _purities(amplitudes: np.ndarray, n_sites: int, masks: list[int]) -> np.ndar
     its Gram matrices come from one stacked product on the smaller side.
     """
     rows, cols = _index_tables(n_sites, masks)
-    chunk = max(4, _CHUNK_AMPLITUDES >> n_sites)
+    chunk = max(2, _CHUNK_AMPLITUDES >> n_sites)
     values = np.empty(len(masks))
     for start in range(0, len(masks), chunk):
         part = slice(start, start + chunk)

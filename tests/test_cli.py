@@ -7,11 +7,14 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_golden import PINNED_BYTES
 
 import xxring
@@ -84,22 +87,24 @@ class TestDeterminism:
         assert printed == exact  # 17 significant digits round-trip
 
 
+#: One small invocation of each table command and its variants.
+TABLE_COMMANDS = [
+    ["spectrum", "--sites", "6", "--steps", "5"],
+    ["spectrum", "--sites", "6", "--steps", "5", "--single-particle"],
+    ["spectrum", "--sites", "6", "--modes"],
+    ["critical-points", "--sites", "6"],
+    ["envelope", "--sites", "9", "--steps", "7"],
+    ["envelope", "--sites", "9", "--detail"],
+    ["ground-state", "--sites", "5", "--g", "-0.5"],
+    ["ground-state", "--sites", "4", "--g", "1.5"],
+    ["entanglement", "--sites", "4,5", "--g", "0.4"],
+    ["entanglement", "--sites", "5", "--g", "0.4", "--detail"],
+    ["entanglement", "--sites", "5,6", "--steps", "9", "--detail"],
+]
+
+
 class TestJsonSchema:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["spectrum", "--sites", "6", "--steps", "5"],
-            ["spectrum", "--sites", "6", "--steps", "5", "--single-particle"],
-            ["spectrum", "--sites", "6", "--modes"],
-            ["critical-points", "--sites", "6"],
-            ["envelope", "--sites", "9", "--steps", "7"],
-            ["envelope", "--sites", "9", "--detail"],
-            ["ground-state", "--sites", "5", "--g", "-0.5"],
-            ["entanglement", "--sites", "4,5", "--g", "0.4"],
-            ["entanglement", "--sites", "5", "--g", "0.4", "--detail"],
-            ["verify", "--sites", "3"],
-        ],
-    )
+    @pytest.mark.parametrize("args", TABLE_COMMANDS + [["verify", "--sites", "3"]])
     def test_outputs_validate(self, args, tmp_path):
         if args[0] == "verify":
             code, data = run_cli(args, tmp_path, "o.json")
@@ -107,6 +112,100 @@ class TestJsonSchema:
             code, data = run_cli(args + ["--format", "json"], tmp_path, "o.json")
         assert code == 0
         validate_json(json.loads(data))
+
+
+
+def dumped_table(head, key, rows, columns=None):
+    """What ``json.dumps`` writes for the table: the reference of ``cli._json_table``."""
+    body = [list(row) if columns is None else dict(zip(columns, row)) for row in rows]
+    return json.dumps({**head, key: body}, indent=2) + "\n"
+
+
+#: Column names with quotes, backslashes, template percent signs, control
+#: characters and non-ASCII text, which json escapes.
+_COLUMN_NAMES = st.text(
+    st.one_of(st.sampled_from('"\\%s\x00\x1f\n\t\x7f\u00e9\u20ac\U0001f600'), st.characters()),
+    min_size=0,
+    max_size=6,
+)
+
+_CELLS = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2**53 + 1, -(2**64) - 1]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def tables(draw):
+    """Unique columns and rows of scalars; a cell may be the very object of the row above."""
+    columns = draw(st.lists(_COLUMN_NAMES, min_size=1, max_size=5, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = []
+        for i in range(len(columns)):
+            shared = rows and draw(st.booleans())
+            row.append(rows[-1][i] if shared else draw(_CELLS))
+        rows.append(tuple(row))
+    head = {"command": draw(st.text(max_size=4)), "params": {"sites": 4}, "metadata": {}}
+    return head, columns, rows
+
+
+class TestJsonTable:
+    """``cli._json_table`` writes the bytes of ``json.dumps(..., indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables())
+    @example(table=({"command": "c"}, ["%", "%s"], [(None, 1), (None, True), (1.0, -0.0)]))
+    @example(table=({"command": "c"}, ["a"], [(0.0,), (-0.0,), (1,), (True,), (False,), (0,)]))
+    @example(table=({"command": "c"}, ["a"], []))
+    @example(table=({"command": "c"}, ["a"], [(math.nan,), (math.inf,), (-math.inf,), (5e-324,)]))
+    def test_object_rows_are_the_json_dumps_bytes(self, table):
+        head, columns, rows = table
+        assert cli._json_table(head, "rows", rows, columns) == dumped_table(
+            head, "rows", rows, columns
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables())
+    def test_list_rows_are_the_json_dumps_bytes(self, table):
+        head, _, rows = table
+        assert cli._json_table(head, "amplitudes", rows) == dumped_table(head, "amplitudes", rows)
+
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS)
+    def test_every_command_writes_the_bytes_of_json_dumps(self, argv, monkeypatch, capsys):
+        tables_written = []
+        writer = cli._json_table
+
+        def spy(head, key, rows, columns=None):
+            tables_written.append(dumped_table(head, key, rows, columns))
+            return writer(head, key, rows, columns)
+
+        monkeypatch.setattr(cli, "_json_table", spy)
+        assert cli.main(argv + ["--format", "json"]) == cli.EXIT_OK
+        assert [capsys.readouterr().out] == tables_written
+
+    def test_traced_peak_stays_within_three_texts(self):
+        # json.dumps(indent=2) peaked at about six times this text.
+        state = xxring.ground_state(14, -0.003267)
+        indices = xxring.statevector._sector_indices(14, state.n)
+        sector = state.amplitudes[indices]
+        rows = list(zip(indices.tolist(), sector.real.tolist(), sector.imag.tolist()))
+        head = {"command": "ground-state", "params": {"sites": 14}, "metadata": {"fermions": 7}}
+        cli._json_table(head, "amplitudes", rows[:2])  # load json before tracing
+        tracemalloc.start()
+        try:
+            text = cli._json_table(head, "amplitudes", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3432
+        assert peak <= 3 * len(text)
 
 
 class TestSpectrumCommand:
@@ -370,8 +469,14 @@ class TestExitCodes:
         assert code == cli.EXIT_VERIFY_FAILED
         payload = json.loads(data)
         assert payload["passed"] is False
-        assert any(not check["passed"] for check in payload["checks"])
+        failed = [check for check in payload["checks"] if not check["passed"]]
+        assert failed
         validate_json(payload)
+        # stderr names each failed check with its witness; stdout stays empty.
+        out, err = capsys.readouterr()
+        witnesses = "; ".join(f"{c['name']} {json.dumps(c['detail'])}" for c in failed)
+        assert (out, err) == ("", f"verification failed: {witnesses}\n")
+        assert 'jw_equals_pauli {"sites": 4, "g": 0.7, "entry": [1, 2]}' in err
 
 
 #: One closed-form README plot command and one numpy-backed N = 11 table.
@@ -662,6 +767,26 @@ class TestRuntimeDependencies:
         validate_json(payload)
         assert payload["command"] == "spectrum"
         assert len(payload["rows"]) == 9 * 61
+
+    def test_json_tables_and_verify_load_no_csv(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from xxring import cli\n"
+            "codes = [cli.main(argv + ['--output', sys.argv[1]]) for argv in (\n"
+            "    ['entanglement', '--sites', '6', '--g', '0.3', '--detail', '--format', 'json'],\n"
+            "    ['ground-state', '--sites', '6', '--g', '0.3', '--format', 'json'],\n"
+            "    ['verify', '--sites', '4'],\n"
+            ")]\n"
+            "print(codes, 'csv' in sys.modules)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.json")],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout == "[0, 0, 0] False\n"
 
 
 class TestPackageExports:

@@ -299,7 +299,9 @@ class TestStackedKernel:
         stacked = entanglement._purities(state.amplitudes, n_sites, [p.mask for p in parts])
         assert stacked.tolist() == reference
 
-    @pytest.mark.parametrize(("n_sites", "limit"), [(10, 512 << 10), (12, 2 << 20)])
+    @pytest.mark.parametrize(
+        ("n_sites", "limit"), [(10, 512 << 10), (11, 768 << 10), (12, 1280 << 10)]
+    )
     def test_traced_peak_stays_bounded(self, n_sites, limit):
         # numpy reports its buffers to tracemalloc, so a larger chunk of
         # gathered matrices shows up here.
